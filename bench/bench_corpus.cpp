@@ -13,7 +13,7 @@
 // microseconds against checker seconds, i.e. the textual front-end is
 // free, and the corpus studies are small enough to gate in CI.
 //
-//   bench_corpus [corpus-dir] [--jobs N]
+//   bench_corpus [corpus-dir]
 //
 // corpus-dir defaults to examples/corpus (run from the repo root). The
 // big Applicability self-pairs get the same iteration budget treatment
@@ -92,16 +92,11 @@ struct PairSpec {
 
 int main(int Argc, char **Argv) {
   std::string Dir = "examples/corpus";
-  size_t Jobs = 1;
   for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--jobs") && I + 1 < Argc) {
-      Jobs = size_t(std::strtoull(Argv[++I], nullptr, 10));
-      if (Jobs < 1)
-        Jobs = 1;
-    } else if (Argv[I][0] != '-') {
+    if (Argv[I][0] != '-') {
       Dir = Argv[I];
     } else {
-      std::fprintf(stderr, "usage: %s [corpus-dir] [--jobs N]\n", Argv[0]);
+      std::fprintf(stderr, "usage: %s [corpus-dir]\n", Argv[0]);
       return 2;
     }
   }
@@ -149,8 +144,7 @@ int main(int Argc, char **Argv) {
   // verdicts may differ from Table 2 and they run under "either".
 
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
-  std::printf("Textual corpus pipeline timings (dir: %s, jobs: %zu)\n\n",
-              Dir.c_str(), Jobs);
+  std::printf("Textual corpus pipeline timings (dir: %s)\n\n", Dir.c_str());
   std::printf("%-26s %10s %10s %9s %9s %10s %s\n", "Pair", "Parse(us)",
               "Elab(us)", "Iters", "Queries", "Check(s)", "Verdict");
   std::printf("%s\n", std::string(92, '-').c_str());
@@ -164,7 +158,6 @@ int main(int Argc, char **Argv) {
       continue;
     }
     core::CheckOptions O;
-    O.Jobs = Jobs;
     bool Budgeted = !std::strcmp(P.Expect, "either");
     O.MaxIterations = Budgeted ? 20000 : (1u << 20);
     O.MaxWallMicros = Budgeted ? 120u * 1000u * 1000u : 0;

@@ -12,7 +12,7 @@
 // unless every warm answer is a cache hit with verdict and statistics
 // bit-identical to the cold record, and the aggregate speedup clears 100x.
 //
-//   bench_serve [corpus-dir] [--jobs N] [--json FILE]
+//   bench_serve [corpus-dir] [--json FILE]
 //   bench_serve --smoke [corpus-dir] [--serve-bin PATH]
 //
 // corpus-dir defaults to examples/corpus (run from the repo root).
@@ -135,10 +135,8 @@ bool statsIdentical(const core::CheckStats &A, const core::CheckStats &B) {
 // Default mode: warm-service replay.
 //===----------------------------------------------------------------------===//
 
-int runReplay(const std::string &Dir, size_t Jobs,
-              const std::string &JsonPath) {
+int runReplay(const std::string &Dir, const std::string &JsonPath) {
   serve::ServiceConfig Config;
-  Config.Engine.Jobs = Jobs;
   std::string Err;
   std::unique_ptr<serve::CheckService> Svc =
       serve::CheckService::create(Config, &Err);
@@ -148,8 +146,7 @@ int runReplay(const std::string &Dir, size_t Jobs,
   }
 
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
-  std::printf("Warm-service corpus replay (dir: %s, jobs: %zu)\n\n",
-              Dir.c_str(), Jobs);
+  std::printf("Warm-service corpus replay (dir: %s)\n\n", Dir.c_str());
   std::printf("%-26s %12s %10s %9s %s\n", "Pair", "Cold(us)", "Hit(us)",
               "Speedup", "Verdict");
   std::printf("%s\n", std::string(78, '-').c_str());
@@ -242,7 +239,6 @@ int runReplay(const std::string &Dir, size_t Jobs,
   if (!JsonPath.empty()) {
     serve::Json Doc = serve::Json::object();
     Doc.set("bench", serve::Json::str("serve_replay"));
-    Doc.set("jobs", serve::Json::unsignedInt(Jobs));
     Doc.set("cold_total_micros", serve::Json::unsignedInt(ColdTotal));
     Doc.set("hit_total_micros", serve::Json::unsignedInt(HitTotal));
     Doc.set("aggregate_speedup", serve::Json::number(Overall));
@@ -443,7 +439,6 @@ int main(int Argc, char **Argv) {
   std::string Dir = "examples/corpus";
   std::string JsonPath;
   std::string ServeBin;
-  size_t Jobs = 1;
   bool Smoke = false;
 
   if (const char *Env = std::getenv("LEAPFROG_SERVE_BIN"))
@@ -452,10 +447,6 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--smoke")) {
       Smoke = true;
-    } else if (!std::strcmp(Argv[I], "--jobs") && I + 1 < Argc) {
-      Jobs = size_t(std::strtoull(Argv[++I], nullptr, 10));
-      if (Jobs < 1)
-        Jobs = 1;
     } else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc) {
       JsonPath = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--serve-bin") && I + 1 < Argc) {
@@ -464,7 +455,7 @@ int main(int Argc, char **Argv) {
       Dir = Argv[I];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [corpus-dir] [--jobs N] [--json FILE]\n"
+                   "usage: %s [corpus-dir] [--json FILE]\n"
                    "       %s --smoke [corpus-dir] [--serve-bin PATH]\n",
                    Argv[0], Argv[0]);
       return 2;
@@ -473,5 +464,5 @@ int main(int Argc, char **Argv) {
 
   if (Smoke)
     return runSmoke(Dir, ServeBin.empty() ? "./leapfrog-serve" : ServeBin);
-  return runReplay(Dir, Jobs, JsonPath);
+  return runReplay(Dir, JsonPath);
 }

@@ -110,12 +110,6 @@ int main(int argc, char **argv) {
   // longitudinal record without gating on noisy thresholds.
   bool Smoke = false;
   const char *JsonPath = nullptr;
-  // --jobs N: adds a third per-study mode — the parallel frontier engine
-  // with N workers — whose latency distribution aggregates every worker
-  // backend (SolverStats::merge), so the scaling signal is wall-clock
-  // total_us per mode, not per-query shape (answers are identical by
-  // construction). Off by default so the CI smoke JSON keys stay stable.
-  size_t Jobs = 1;
   // --backend SPEC: adds a per-study A/B mode solving through the given
   // backend (smtlib:<cmd> for an external SMT-LIB2 solver, crosscheck for
   // both with divergence checking — see smt/SmtLibSolver.h). Off by
@@ -127,16 +121,11 @@ int main(int argc, char **argv) {
       Smoke = true;
     } else if (!std::strcmp(argv[I], "--json") && I + 1 < argc) {
       JsonPath = argv[++I];
-    } else if (!std::strcmp(argv[I], "--jobs") && I + 1 < argc) {
-      Jobs = size_t(std::strtoull(argv[++I], nullptr, 10));
-      if (Jobs < 1)
-        Jobs = 1;
     } else if (!std::strcmp(argv[I], "--backend") && I + 1 < argc) {
       Backend = argv[++I];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json FILE] [--jobs N] "
-                   "[--backend SPEC]\n",
+                   "usage: %s [--smoke] [--json FILE] [--backend SPEC]\n",
                    argv[0]);
       return 2;
     }
@@ -168,12 +157,10 @@ int main(int argc, char **argv) {
 
   // Each study runs through the incremental sessions (the checker's
   // default) and through per-query monolithic solving — the
-  // incrementality ablation for §7.3 — plus, with --jobs N, through the
-  // parallel frontier engine as a scaling column.
+  // incrementality ablation for §7.3.
   struct ModeSpec {
     const char *Name;
     bool Incremental;
-    size_t Jobs;
     const char *Backend;     ///< Factory spec; "" = in-repo bitblast.
     size_t GoalBatch = 1;    ///< CheckOptions::GoalBatch for the mode.
   };
@@ -182,14 +169,9 @@ int main(int argc, char **argv) {
   // round_trips column is what tools/check_perf_baseline.py gates —
   // deterministic, so a lost batch (round_trips creeping back toward
   // queries) is a hard CI failure, not noise.
-  std::vector<ModeSpec> Modes = {{"incremental", true, 1, ""},
-                                 {"monolithic", false, 1, ""},
-                                 {"batched", true, 1, "", 8}};
-  std::string ParallelName;
-  if (Jobs > 1) {
-    ParallelName = "parallel-j" + std::to_string(Jobs);
-    Modes.push_back(ModeSpec{ParallelName.c_str(), true, Jobs, ""});
-  }
+  std::vector<ModeSpec> Modes = {{"incremental", true, ""},
+                                 {"monolithic", false, ""},
+                                 {"batched", true, "", 8}};
   if (!Backend.empty()) {
     // Validate the spec eagerly so a typo is a usage error here, not a
     // crash in the per-study loop.
@@ -202,22 +184,21 @@ int main(int argc, char **argv) {
     // under the title line.
     const char *Label = Backend.rfind("crosscheck", 0) == 0 ? "crosscheck"
                                                             : "smtlib";
-    Modes.push_back(ModeSpec{Label, true, 1, Backend.c_str()});
+    Modes.push_back(ModeSpec{Label, true, Backend.c_str()});
   }
   std::vector<uint64_t> All;
   for (auto &Study : Studies) {
     if (Smoke && !std::strcmp(Study.Name, "Variable-length parsing"))
       continue; // The one slow utility study; smoke stays seconds-fast.
     for (const ModeSpec &M : Modes) {
-      // Fresh backend (and stats) per (study, mode); worker stats are
-      // absorbed into it. Factory spec "" is the in-repo bit-blaster.
+      // Fresh backend (and stats) per (study, mode). Factory spec "" is
+      // the in-repo bit-blaster.
       std::unique_ptr<smt::SmtSolver> SolverPtr =
           smt::createSolverBackend(M.Backend, nullptr);
       smt::SmtSolver &Solver = *SolverPtr;
       CheckOptions O;
       O.Solver = &Solver;
       O.UseIncremental = M.Incremental;
-      O.Jobs = M.Jobs;
       O.GoalBatch = M.GoalBatch;
       CheckResult Res =
           checkLanguageEquivalence(Study.L, Study.QL, Study.R, Study.QR, O);
@@ -225,7 +206,7 @@ int main(int argc, char **argv) {
       std::vector<uint64_t> Micros = Solver.stats().QueryMicros;
       std::sort(Micros.begin(), Micros.end());
       bool Incremental =
-          M.Incremental && M.Jobs == 1 && !*M.Backend && M.GoalBatch == 1;
+          M.Incremental && !*M.Backend && M.GoalBatch == 1;
       if (Incremental)
         All.insert(All.end(), Micros.begin(), Micros.end());
       double N = double(std::max<uint64_t>(Solver.stats().Queries, 1));
@@ -278,15 +259,6 @@ int main(int argc, char **argv) {
                       "divergences\n",
                       "", "", size_t(Cross->crossStats().Checked),
                       size_t(Cross->crossStats().Divergences));
-      }
-      if (M.Jobs > 1) {
-        // The scaling line: wall-clock vs the per-thread solver-CPU sum
-        // (their ratio is the effective parallelism achieved).
-        std::printf("%-26s %-12s wall=%.1fms solver-cpu=%.1fms "
-                    "workers' sessions=%zu\n",
-                    "", "", double(Res.Stats.WallMicros) / 1e3,
-                    double(Res.Stats.SolverMicros) / 1e3,
-                    size_t(Solver.stats().SessionsOpened));
       }
       if (Incremental) {
         std::printf("%-26s %-12s premises=%zu cache-hits=%zu "

@@ -108,12 +108,6 @@ void printRow(const Row &R) {
 /// behavior, kept as the before-side of the memory A/B.
 bool Unbounded = false;
 
-/// --jobs N: after each sequential row, rerun the study through the
-/// parallel frontier engine with N workers and print the scaling line
-/// (wall-clock speedup + a decisions-identical check). N = 1 (default)
-/// keeps the classic table.
-size_t Jobs = 1;
-
 /// --certify: after each sequential row, rerun it with streaming DRUP
 /// certificates on and print the certified-vs-uncertified overhead line
 /// (the docs/EXPERIMENTS.md certified column). Off by default so the
@@ -133,8 +127,7 @@ const char *TraceOutPath = nullptr;
 
 Row runStudy(const parsers::CaseStudy &Study, const InitialSpec &Spec,
              bool ExpectEquivalent, size_t MaxIterations = 1u << 20,
-             uint64_t MaxWallMicros = 0, size_t RunJobs = 1,
-             bool Certify = false) {
+             uint64_t MaxWallMicros = 0, bool Certify = false) {
   Row R;
   R.Name = Study.Name;
   R.Category = Study.Category;
@@ -149,7 +142,6 @@ Row runStudy(const parsers::CaseStudy &Study, const InitialSpec &Spec,
   O.Solver = &Solver;
   O.MaxIterations = MaxIterations;
   O.MaxWallMicros = MaxWallMicros;
-  O.Jobs = RunJobs;
   O.Certify = Certify;
   O.GoalBatch = GoalBatch;
   R.Result = checkWithSpec(Study.Left, Study.Right, Spec, O);
@@ -157,10 +149,13 @@ Row runStudy(const parsers::CaseStudy &Study, const InitialSpec &Spec,
   return R;
 }
 
-/// The certified line under a sequential row: same study, same budgets,
-/// streaming DRUP slices on. Overhead is certified/uncertified wall; the
-/// decisions check pins that recording proofs never changes the search
-/// (wall-limited rows excepted, same caveat as the scaling line). The
+/// The certified line under a row: same study, same budgets, streaming
+/// DRUP slices on. Overhead is certified/uncertified wall; the decisions
+/// check pins that recording proofs never changes the search. Exactness
+/// only holds run-to-run when the budget is deterministic: a wall-clock
+/// trip lands on whatever iteration the clock says, in *either* run, so
+/// wall-limited rows report "n/a (wall-limited)" rather than a spurious
+/// divergence. The
 /// certificate is serialized exactly as --emit-cert/the service store
 /// would, so Cert(MB) is the real artifact size.
 void printCertifiedRow(const parsers::CaseStudy &Study, const Row &Seq,
@@ -197,60 +192,17 @@ void printCertifiedRow(const parsers::CaseStudy &Study, const Row &Seq,
               Decisions);
 }
 
-/// The scaling line under a sequential row: same study, same budgets,
-/// RunJobs workers. Wall-clock is the headline; Solve(s) sums solver
-/// time *across threads* (it exceeding Time(s) is the parallelism). The
-/// decisions column re-checks the engine's exactness promise in the
-/// field: verdict, relation size and iteration count must match the
-/// sequential row (SMT query counts legitimately differ — the merge
-/// re-derives some answers — so they are reported, not compared).
-/// Exactness only holds run-to-run when the budget is deterministic: a
-/// wall-clock trip lands on whatever iteration the clock says, in
-/// *either* run, so wall-limited rows report "n/a (wall-limited)"
-/// rather than a spurious divergence.
-void printScalingRow(const Row &Seq, const Row &Par, size_t N) {
-  auto WallLimited = [](const Row &R) {
-    return R.Result.V == Verdict::ResourceLimit &&
-           R.Result.FailureReason.rfind("wall-clock", 0) == 0;
-  };
-  const char *Decisions;
-  if (WallLimited(Seq) || WallLimited(Par)) {
-    Decisions = "n/a (wall-limited)";
-  } else {
-    bool Identical =
-        Par.Result.V == Seq.Result.V &&
-        Par.Result.Stats.FinalConjuncts ==
-            Seq.Result.Stats.FinalConjuncts &&
-        Par.Result.Stats.Iterations == Seq.Result.Stats.Iterations &&
-        Par.Result.Stats.Extends == Seq.Result.Stats.Extends;
-    Decisions = Identical ? "identical" : "** DIVERGED **";
-  }
-  double Speedup = double(Seq.Result.Stats.WallMicros) /
-                   double(std::max<uint64_t>(Par.Result.Stats.WallMicros, 1));
-  std::printf("%-28s %-14s jobs=%zu time=%.2fs solve-cpu=%.2fs "
-              "speedup=%.2fx queries=%zu decisions=%s\n",
-              "", "  (parallel)", N,
-              double(Par.Result.Stats.WallMicros) / 1e6,
-              double(Par.Result.Stats.SolverMicros) / 1e6, Speedup,
-              Par.Result.Stats.SmtQueries, Decisions);
-}
-
-/// Runs + prints one study: the sequential row, then (with --jobs N > 1)
-/// the parallel scaling line.
+/// Runs + prints one study: the row, then (with --certify) the certified
+/// line.
 void runAndPrint(const parsers::CaseStudy &Study, const InitialSpec &Spec,
                  bool ExpectEquivalent, size_t MaxIterations = 1u << 20,
                  uint64_t MaxWallMicros = 0) {
   Row Seq = runStudy(Study, Spec, ExpectEquivalent, MaxIterations,
                      MaxWallMicros);
   printRow(Seq);
-  if (Jobs > 1) {
-    Row Par = runStudy(Study, Spec, ExpectEquivalent, MaxIterations,
-                       MaxWallMicros, Jobs);
-    printScalingRow(Seq, Par, Jobs);
-  }
   if (CertifyColumn) {
     Row Cert = runStudy(Study, Spec, ExpectEquivalent, MaxIterations,
-                        MaxWallMicros, 1, /*Certify=*/true);
+                        MaxWallMicros, /*Certify=*/true);
     printCertifiedRow(Study, Seq, Cert);
   }
 }
@@ -279,10 +231,6 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--unbounded")) {
       Unbounded = true;
-    } else if (!std::strcmp(argv[I], "--jobs") && I + 1 < argc) {
-      Jobs = size_t(std::strtoull(argv[++I], nullptr, 10));
-      if (Jobs < 1)
-        Jobs = 1;
     } else if (!std::strcmp(argv[I], "--certify")) {
       CertifyColumn = true;
     } else if (!std::strcmp(argv[I], "--trace-out") && I + 1 < argc) {
@@ -293,15 +241,15 @@ int main(int argc, char **argv) {
         GoalBatch = 1;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--unbounded] [--jobs N] [--certify] "
+                   "usage: %s [--unbounded] [--certify] "
                    "[--goal-batch N] [--trace-out FILE]\n",
                    argv[0]);
       return 2;
     }
   }
-  // Perfetto timeline of the whole table (docs/OBSERVABILITY.md):
-  // sequential studies on the main track, parallel reruns on worker
-  // tracks. Passive — the rows print identically with or without it.
+  // Perfetto timeline of the whole table (docs/OBSERVABILITY.md), on
+  // the main track. Passive — the rows print identically with or
+  // without it.
   std::unique_ptr<obs::TraceSink> Trace;
   if (TraceOutPath) {
     Trace = std::make_unique<obs::TraceSink>();
@@ -314,10 +262,6 @@ int main(int argc, char **argv) {
               Unbounded ? "  [--unbounded: session clause-DB management "
                           "disabled]"
                         : "");
-  if (Jobs > 1)
-    std::printf("[--jobs %zu: each row is followed by a parallel frontier "
-                "engine rerun; speedup is sequential/parallel wall]\n\n",
-                Jobs);
   if (CertifyColumn)
     std::printf("[--certify: each row is followed by a streaming-certificate "
                 "rerun; overhead is certified/uncertified wall]\n\n");

@@ -14,9 +14,7 @@
 #include "core/WeakestPrecondition.h"
 #include "logic/Lower.h"
 #include "p4a/Typing.h"
-#include "parallel/ParallelChecker.h"
 #include "smt/ProofLog.h"
-#include "smt/SmtLibSolver.h"
 
 #include <algorithm>
 #include <deque>
@@ -39,55 +37,32 @@ InitialSpec core::languageEquivalenceSpec(const p4a::Automaton &Left,
   return Spec;
 }
 
+namespace {
+
+/// Frontier entries scanned ahead for same-guard goals when a goal is
+/// posed with CheckOptions::GoalBatch > 1: the batching window.
+constexpr size_t GoalBatchWindow = 32;
+
+/// A frontier conjunct ψ plus the entailment answer computed for it.
+/// Goals are lowered once; with goal batching an entry can be answered
+/// ahead of its turn, together with an earlier same-guard goal.
+struct FrontierEntry {
+  explicit FrontierEntry(GuardedFormula Psi) : Psi(std::move(Psi)) {}
+  GuardedFormula Psi;
+  smt::BvFormulaRef Goal; ///< ψ lowered to FOL(BV); null until needed.
+  bool Posed = false;     ///< Answered ahead of its turn.
+  bool Entailed = false;  ///< The answer, when Posed.
+  size_t PosedAtR = 0;    ///< |R| the answer was computed against.
+};
+
+} // namespace
+
 CheckResult core::checkWithSpec(const p4a::Automaton &Left,
                                 const p4a::Automaton &Right,
                                 const InitialSpec &Spec,
                                 const CheckOptions &Options) {
   assert(p4a::isWellTyped(Left) && "left automaton is ill-typed");
   assert(p4a::isWellTyped(Right) && "right automaton is ill-typed");
-
-  // Backend resolution: a textual spec becomes an owned solver instance
-  // for exactly this invocation — the one-shot inline equivalent of
-  // core::Engine::create, including its failure contract: an unparseable
-  // spec never runs the search and never silently degrades to another
-  // backend; it comes back as a structured BadRequest the caller (CLI
-  // exit code, service error response) can surface. Resolved before the
-  // engine dispatch so the parallel engine sees the constructed backend
-  // (and spawns its per-worker instances from it). An explicit Solver
-  // wins — it is already a resolved backend.
-  if (!Options.Backend.empty() && Options.Solver == nullptr) {
-    std::string BackendSpec = Options.Backend;
-    // Certified checks route external backends through cross-check mode:
-    // an SMT-LIB process exposes no proof we could replay without
-    // get-proof support, but the cross-checking reference leg answers
-    // (and records slices for) every query the external solver is merely
-    // compared against — so the in-repo proof covers the verdict.
-    if (Options.Certify && BackendSpec.rfind("smtlib:", 0) == 0)
-      BackendSpec = "crosscheck:" + BackendSpec.substr(std::string("smtlib:").size());
-    std::string Err;
-    std::unique_ptr<smt::SmtSolver> Owned =
-        smt::createSolverBackend(BackendSpec, &Err);
-    if (!Owned) {
-      CheckResult Rejected;
-      Rejected.V = Verdict::BadRequest;
-      Rejected.FailureReason =
-          "unrecognized solver backend '" + Options.Backend + "': " + Err;
-      return Rejected;
-    }
-    CheckOptions Resolved = Options;
-    Resolved.Backend.clear();
-    Resolved.Solver = Owned.get();
-    return checkWithSpec(Left, Right, Spec, Resolved);
-  }
-
-  // Parallel frontier engine (parallel/ParallelChecker.cpp): same
-  // decisions, work-sharded. The engine needs one independent backend
-  // per worker (SmtSolver::spawnWorker); when the backend cannot supply
-  // them (e.g. a test's custom SmtSolver) the engine hands the call
-  // straight back here with Jobs = 1, and the single-threaded loop
-  // below poses every query to the one provided instance.
-  if (Options.Jobs > 1)
-    return parallel::checkWithSpecParallel(Left, Right, Spec, Options);
 
   obs::ScopedSpan CheckSpan("check.run", "check");
   obs::StopWatch Watch;
@@ -154,17 +129,17 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
   St.ReachPairs = Pairs.size();
 
   // Frontier T: initial relation I, then extra user conjuncts (§7.1).
-  std::deque<GuardedFormula> T;
+  std::deque<FrontierEntry> T;
   std::unordered_set<std::string> Seen;
   auto Push = [&](GuardedFormula G) {
     if (G.Phi->kind() == Pure::Kind::True)
       return; // Trivial conjunct: entailed by anything.
     // Deduplicate up to α-renaming on the exact keys of FrontierKey.h
-    // (shared with the parallel engine; see that header for the key
-    // discipline and the hash-collision soundness bug it pins).
+    // (see that header for the key discipline and the hash-collision
+    // soundness bug it pins).
     if (!Seen.insert(detail::frontierKey(G)).second)
       return;
-    T.push_back(std::move(G));
+    T.emplace_back(std::move(G));
     St.PeakFrontier = std::max(St.PeakFrontier, T.size());
   };
   for (GuardedFormula &G : buildInitialConjuncts(Spec, Pairs))
@@ -189,51 +164,152 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
   };
   std::unordered_map<TemplatePair, TpSession, logic::TemplatePairHasher>
       Sessions;
-  auto SessionFor = [&](const TemplatePair &TP) -> TpSession & {
-    TpSession &TS = Sessions[TP];
-    if (!TS.Session)
-      TS.Session = Solver.openSession(Options.Limits);
-    return TS;
+
+  // Goal batching state (GoalBatch > 1). Window counts the pops left in
+  // the current batching window — the entries T held when the window
+  // opened — so a goal is only batched with entries that were already on
+  // the frontier when its window opened. Batchable is a guard's gate,
+  // open while its most recent decision was a Skip: skip-heavy stretches
+  // then share one round-trip across up to GoalBatch goals, while after
+  // an Extend the guard poses one goal at a time (answers posed ahead go
+  // stale when their guard extends, so batching an extend-heavy stretch
+  // only costs re-posing). LastExtendR bounds staleness: a Sat (not entailed)
+  // answer posed when |R| was PosedAtR is stale iff a same-guard
+  // conjunct joined R since, i.e. PosedAtR < LastExtendR[guard]. An
+  // entailed answer never goes stale — entailment is monotone in the
+  // premises, and a query consults only same-guard premises
+  // (lowerEntailment stage 2). Decisions are therefore identical to
+  // GoalBatch == 1; only round-trips and posed queries change.
+  const bool Batching = Options.UseIncremental && Options.GoalBatch > 1;
+  size_t Window = 0;
+  std::unordered_map<TemplatePair, bool, logic::TemplatePairHasher>
+      Batchable;
+  std::unordered_map<TemplatePair, size_t, logic::TemplatePairHasher>
+      LastExtendR;
+
+  // Computes the answer for the popped entry \p E: is ψ entailed by ⋀R?
+  // The query is lowered through the Figure 6 chain; the smart
+  // constructors may already have collapsed it to a constant.
+  auto Entails = [&](FrontierEntry &E) -> bool {
+    const GuardedFormula &Psi = E.Psi;
+    if (!Options.UseIncremental) {
+      // Monolithic reference path: re-lower and re-blast ⋀R ⇒ ψ whole.
+      LowerResult Lowered = lowerEntailment(Left, Right, R, Psi);
+      if (Lowered.Query->kind() == smt::BvFormula::Kind::True)
+        return true;
+      if (Lowered.Query->kind() == smt::BvFormula::Kind::False)
+        return false;
+      ++St.SmtQueries;
+      return Solver.isValid(Lowered.Query);
+    }
+
+    // Incremental path: lower the goal alone (store-eliminated names
+    // depend only on (automata, guard), so per-conjunct lowering agrees
+    // with lowering the whole implication — see logic/Lower.h), feed the
+    // guard's session any conjuncts of R it has not seen, and pose ψ as
+    // a goal query. An UNSAT premise set entails everything, which the
+    // session also answers correctly (UNSAT stays UNSAT under ¬ψ).
+    if (!E.Goal)
+      E.Goal = lowerPure(Left, Right, Psi.TP, Psi.Phi);
+    if (E.Goal->kind() == smt::BvFormula::Kind::True)
+      return true;
+    if (E.Posed && !E.Entailed) {
+      auto Bound = LastExtendR.find(Psi.TP);
+      E.Posed = Bound == LastExtendR.end() || E.PosedAtR >= Bound->second;
+    }
+    if (!E.Posed) {
+      TpSession &TS = Sessions[Psi.TP];
+      if (!TS.Session)
+        TS.Session = Solver.openSession(Options.Limits);
+      for (; TS.NextConjunct < R.size(); ++TS.NextConjunct) {
+        const GuardedFormula &P = R[TS.NextConjunct];
+        if (P.TP == Psi.TP)
+          TS.Session->assertPremise(lowerPure(Left, Right, Psi.TP, P.Phi));
+      }
+      // With the guard's gate open, pull upcoming unposed same-guard
+      // goals of the window into the same physical call.
+      std::vector<FrontierEntry *> Ahead;
+      if (Batching && Batchable[Psi.TP])
+        for (size_t J = 0; J < Window && Ahead.size() + 1 < Options.GoalBatch;
+             ++J) {
+          FrontierEntry &Next = T[J];
+          if (Next.Posed || Next.Psi.TP != Psi.TP)
+            continue;
+          if (!Next.Goal)
+            Next.Goal = lowerPure(Left, Right, Next.Psi.TP, Next.Psi.Phi);
+          if (Next.Goal->kind() != smt::BvFormula::Kind::True)
+            Ahead.push_back(&Next);
+        }
+      St.SmtQueries += 1 + Ahead.size();
+      if (Ahead.empty()) {
+        E.Entailed = TS.Session->isEntailed(E.Goal);
+      } else {
+        std::vector<smt::BvFormulaRef> Batch{smt::BvFormula::mkNot(E.Goal)};
+        for (FrontierEntry *A : Ahead)
+          Batch.push_back(smt::BvFormula::mkNot(A->Goal));
+        std::vector<smt::SatResult> Out;
+        TS.Session->checkSatBatch(Batch, Out);
+        E.Entailed = Out[0] == smt::SatResult::Unsat;
+        for (size_t K = 0; K < Ahead.size(); ++K) {
+          Ahead[K]->Posed = true;
+          Ahead[K]->Entailed = Out[K + 1] == smt::SatResult::Unsat;
+          Ahead[K]->PosedAtR = R.size();
+        }
+      }
+    }
+    if (Batching) {
+      Batchable[Psi.TP] = E.Entailed;
+      if (!E.Entailed)
+        LastExtendR[Psi.TP] = R.size() + 1; // The extend pushes ψ onto R.
+    }
+    return E.Entailed;
   };
 
-  // Main worklist (Algorithm 1 / the pre_bisimulation relation, Fig. 4).
-  auto OverBudget = [&](const char *What) {
-    Result.V = Verdict::ResourceLimit;
-    Result.FailureReason = std::string(What) + " limit reached with " +
-                           std::to_string(T.size()) +
-                           " frontier conjuncts outstanding";
+  // Fills the result of a run that stops before the Done check.
+  auto Stop = [&](Verdict V, std::string Reason) {
+    Result.V = V;
+    Result.FailureReason = std::move(Reason);
     St.FinalConjuncts = R.size();
     St.WallMicros = Watch.elapsedMicros();
     St.SolverMicros = Solver.stats().TotalMicros - SolverMicrosBefore;
   };
-
-  // Feeds \p TS every conjunct of R[0..UpTo) guarded by \p TP that it has
-  // not consumed yet (NextConjunct is the session's global prefix pointer
-  // into R, advanced past non-matching guards as well).
-  auto Prime = [&](TpSession &TS, const TemplatePair &TP, size_t UpTo) {
-    for (; TS.NextConjunct < UpTo; ++TS.NextConjunct) {
-      const GuardedFormula &P = R[TS.NextConjunct];
-      if (P.TP != TP)
-        continue;
-      TS.Session->assertPremise(lowerPure(Left, Right, TP, P.Phi));
-    }
+  auto OverBudget = [&](const char *What) {
+    Stop(Verdict::ResourceLimit, std::string(What) + " limit reached with " +
+                                     std::to_string(T.size()) +
+                                     " frontier conjuncts outstanding");
   };
 
-  // Applies one decided frontier entry — the tail of a worklist iteration:
-  // Skip bookkeeping, or Extend with early refutation and precondition
-  // expansion. Returns false when the run is over (the refutation path
-  // filled Result). Shared between the classic one-at-a-time loop and the
-  // batched window loop below, so the two paths cannot drift.
-  auto Apply = [&](GuardedFormula Psi, bool Entailed) -> bool {
-    if (Entailed) {
+  // Main worklist (Algorithm 1 / the pre_bisimulation relation, Fig. 4):
+  // each popped conjunct is skipped (entailed by ⋀R) or extended.
+  while (!T.empty()) {
+    // The budget is tested before the iteration is counted, so a run
+    // stopped by a budget of N reports exactly N iterations.
+    if (St.Iterations >= Options.MaxIterations) {
+      OverBudget("iteration");
+      return Result;
+    }
+    ++St.Iterations;
+    if (Options.MaxWallMicros != 0 && (St.Iterations & 0xf) == 0 &&
+        Watch.elapsedMicros() > Options.MaxWallMicros) {
+      OverBudget("wall-clock");
+      return Result;
+    }
+    if (Window == 0)
+      Window = std::min(GoalBatchWindow, T.size());
+    FrontierEntry E = std::move(T.front());
+    T.pop_front();
+    --Window;
+
+    if (Entails(E)) {
       ++St.Skips;
       if (Options.RecordTrace)
-        Result.Trace.push_back(TraceStep{TraceStep::Kind::Skip, Psi, 0});
-      return true;
+        Result.Trace.push_back(TraceStep{TraceStep::Kind::Skip, E.Psi, 0});
+      continue;
     }
 
     // Extend: ψ is a novel restriction; its preconditions join the
     // frontier so closure under (leap) steps is re-established.
+    const GuardedFormula &Psi = E.Psi;
     ++St.Extends;
     R.push_back(Psi);
 
@@ -252,13 +328,9 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
         Valid = Solver.isValid(Query);
       }
       if (!Valid) {
-        Result.V = Verdict::NotEquivalent;
-        Result.FailureReason = "refuted: phi does not entail conjunct " +
-                               Psi.str(Left, Right);
-        St.FinalConjuncts = R.size();
-        St.WallMicros = Watch.elapsedMicros();
-        St.SolverMicros = Solver.stats().TotalMicros - SolverMicrosBefore;
-        return false;
+        Stop(Verdict::NotEquivalent,
+             "refuted: phi does not entail conjunct " + Psi.str(Left, Right));
+        return Result;
       }
     }
 
@@ -269,174 +341,6 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
           TraceStep{TraceStep::Kind::Extend, Psi, Wp.size()});
     for (GuardedFormula &G : Wp)
       Push(std::move(G));
-    return true;
-  };
-
-  if (Options.GoalBatch > 1 && Options.UseIncremental) {
-    // Batched window mode (CheckOptions::GoalBatch): decide frontier
-    // entries one window at a time, posing goals *lazily* — at their
-    // replay turn, against the live premise set — and gathering upcoming
-    // same-guard window entries into the same checkSatBatch call when the
-    // guard's batching gate is open. The gate is the run's own history: a
-    // guard batches while its most recent decision was a Skip, and poses
-    // one goal at a time after an Extend. Skip-heavy stretches (the
-    // common case on equivalent parsers past the warm-up extends) then
-    // share one physical round-trip across up to GoalBatch entailed
-    // goals, while extend-heavy stretches degrade to *exactly* the
-    // classic one-query-per-goal cost — speculatively pre-posing a window
-    // against frozen premises loses on those, because most answers go
-    // stale before their replay turn.
-    //
-    // Answer reuse is governed by the freeze rules the parallel engine
-    // relies on (parallel/ParallelChecker.cpp): an Unsat (entailed)
-    // answer never goes stale — entailment is monotone in premises, and
-    // a query consults only same-guard premises (lowerEntailment
-    // stage 2) — while a Sat answer is stale iff a same-guard conjunct
-    // extended after it was posed (LastExtendR tracks the bound); stale
-    // answers are re-posed at their turn. Decisions, trace and relation
-    // are therefore bit-identical to GoalBatch == 1; only
-    // SolverStats::RoundTrips (and the posed-query count) change. Window
-    // entries stay in T until their replay turn so frontier size —
-    // PeakFrontier, budget messages — is exactly classic.
-    const size_t Window = Options.Chunk ? Options.Chunk : 32;
-    // Per-guard batching gate, persistent across windows: true while the
-    // guard's last decision this run was a Skip.
-    std::unordered_map<TemplatePair, bool, logic::TemplatePairHasher>
-        Batchable;
-    while (!T.empty()) {
-      size_t W = std::min(Window, T.size());
-
-      struct WindowGoal {
-        smt::BvFormulaRef Goal;
-        bool Trivial = false; ///< Lowered to constant True: no query.
-        bool Posed = false;
-        smt::SatResult Answer = smt::SatResult::Sat;
-        size_t PosedAtR = 0; ///< R.size() the answer was computed against.
-      };
-      std::vector<WindowGoal> Goals(W);
-      std::unordered_map<TemplatePair, std::vector<size_t>,
-                         logic::TemplatePairHasher>
-          Groups;
-      for (size_t I = 0; I < W; ++I) {
-        const GuardedFormula &Psi = T[I];
-        Goals[I].Goal = lowerPure(Left, Right, Psi.TP, Psi.Phi);
-        if (Goals[I].Goal->kind() == smt::BvFormula::Kind::True) {
-          Goals[I].Trivial = true; // Classic short-circuit: no query.
-          continue;
-        }
-        Groups[Psi.TP].push_back(I);
-      }
-
-      // Within-window extend bound per guard: a Sat answer posed at
-      // PosedAtR is stale iff PosedAtR < LastExtendR[guard]. Extends in
-      // earlier windows need no tracking — every answer this window is
-      // posed at the live R of its turn, which already includes them.
-      std::unordered_map<TemplatePair, size_t, logic::TemplatePairHasher>
-          LastExtendR;
-      for (size_t I = 0; I < W; ++I) {
-        if (++St.Iterations > Options.MaxIterations) {
-          OverBudget("iteration");
-          return Result;
-        }
-        if (Options.MaxWallMicros != 0 && (St.Iterations & 0xf) == 0 &&
-            Watch.elapsedMicros() > Options.MaxWallMicros) {
-          OverBudget("wall-clock");
-          return Result;
-        }
-        GuardedFormula Psi = std::move(T.front());
-        T.pop_front();
-
-        bool Entailed;
-        if (Goals[I].Trivial) {
-          Entailed = true;
-        } else {
-          auto Bound = LastExtendR.find(Psi.TP);
-          bool Stale = Goals[I].Posed &&
-                       Goals[I].Answer == smt::SatResult::Sat &&
-                       Bound != LastExtendR.end() &&
-                       Goals[I].PosedAtR < Bound->second;
-          if (!Goals[I].Posed || Stale) {
-            TpSession &TS = SessionFor(Psi.TP);
-            Prime(TS, Psi.TP, R.size());
-            // This goal must be decided now; pull upcoming unposed
-            // same-guard window entries into the same physical call
-            // while the gate is open.
-            std::vector<size_t> Members{I};
-            if (Batchable[Psi.TP])
-              for (size_t J : Groups[Psi.TP])
-                if (J > I && !Goals[J].Posed &&
-                    Members.size() < Options.GoalBatch)
-                  Members.push_back(J);
-            std::vector<smt::BvFormulaRef> Batch;
-            Batch.reserve(Members.size());
-            for (size_t M : Members)
-              Batch.push_back(smt::BvFormula::mkNot(Goals[M].Goal));
-            std::vector<smt::SatResult> Out;
-            TS.Session->checkSatBatch(Batch, Out);
-            St.SmtQueries += Batch.size();
-            for (size_t K = 0; K < Members.size(); ++K) {
-              Goals[Members[K]].Posed = true;
-              Goals[Members[K]].Answer = Out[K];
-              Goals[Members[K]].PosedAtR = R.size();
-            }
-          }
-          Entailed = Goals[I].Answer == smt::SatResult::Unsat;
-          Batchable[Psi.TP] = Entailed;
-        }
-        if (!Entailed)
-          LastExtendR[Psi.TP] = R.size() + 1; // Apply pushes Psi onto R.
-        if (!Apply(std::move(Psi), Entailed))
-          return Result;
-      }
-    }
-  } else {
-    while (!T.empty()) {
-      if (++St.Iterations > Options.MaxIterations) {
-        OverBudget("iteration");
-        return Result;
-      }
-      if (Options.MaxWallMicros != 0 && (St.Iterations & 0xf) == 0 &&
-          Watch.elapsedMicros() > Options.MaxWallMicros) {
-        OverBudget("wall-clock");
-        return Result;
-      }
-      GuardedFormula Psi = std::move(T.front());
-      T.pop_front();
-
-      // Entailment ⋀R ⊨ ψ, lowered through the Figure 6 chain. The smart
-      // constructors may already have collapsed the query to a constant.
-      bool Entailed;
-      if (Options.UseIncremental) {
-        // Incremental path: lower the goal alone (store-eliminated names
-        // depend only on (automata, guard), so per-conjunct lowering
-        // agrees with lowering the whole implication — see logic/Lower.h),
-        // feed the session any conjuncts of R it has not seen, and pose ψ
-        // as a goal query. An UNSAT premise set entails everything, which
-        // the session also answers correctly (UNSAT stays UNSAT under ¬ψ).
-        smt::BvFormulaRef Goal = lowerPure(Left, Right, Psi.TP, Psi.Phi);
-        if (Goal->kind() == smt::BvFormula::Kind::True) {
-          Entailed = true;
-        } else {
-          TpSession &TS = SessionFor(Psi.TP);
-          Prime(TS, Psi.TP, R.size());
-          ++St.SmtQueries;
-          Entailed = TS.Session->isEntailed(Goal);
-        }
-      } else {
-        LowerResult Lowered = lowerEntailment(Left, Right, R, Psi);
-        if (Lowered.Query->kind() == smt::BvFormula::Kind::True) {
-          Entailed = true;
-        } else if (Lowered.Query->kind() == smt::BvFormula::Kind::False) {
-          Entailed = false;
-        } else {
-          ++St.SmtQueries;
-          Entailed = Solver.isValid(Lowered.Query);
-        }
-      }
-
-      if (!Apply(std::move(Psi), Entailed))
-        return Result;
-    }
   }
 
   // Done: check φ ⊨ ⋀R. Conjuncts guarded by other template pairs hold

@@ -53,27 +53,11 @@ struct CheckOptions {
   /// exceeding it yields Verdict::ResourceLimit — the analogue of the
   /// paper's out-of-memory outcome on the Service Provider study.
   uint64_t MaxWallMicros = 0;
-  /// Solver backend; nullptr = smt::defaultSolver() (unless Backend,
-  /// below, names one to construct instead).
+  /// Solver backend; nullptr = smt::defaultSolver(). To run on a backend
+  /// named by a spec string ("bitblast", "smtlib:<cmd>",
+  /// "crosscheck[:<cmd>]"), resolve it through core::Engine::create
+  /// (core/Engine.h), the one place backend specs are interpreted.
   smt::SmtSolver *Solver = nullptr;
-  /// Backend *specification*, resolved through smt::createSolverBackend()
-  /// when Solver is null: "bitblast" (the in-repo default), or
-  /// "smtlib:<cmd>" / "crosscheck[:<cmd>]" for an external SMT-LIB2
-  /// process / a divergence-hard-failing A/B of both (smt/SmtLibSolver.h).
-  /// The constructed backend is owned by the checker invocation and torn
-  /// down (external process included) when it returns; an *unparseable*
-  /// spec is rejected — checkWithSpec returns Verdict::BadRequest with
-  /// the resolver's diagnostic in FailureReason, same as
-  /// core::Engine::create failing — while a parseable spec whose binary
-  /// is missing degrades per query inside SmtLibSolver: the Backend knob
-  /// can change performance and cross-checking, never verdicts. Ignored
-  /// when Solver is set: an explicit instance is already a resolved
-  /// backend. Works with every engine, including Jobs > 1 (workers come
-  /// from SmtSolver::spawnWorker on the resolved backend — for external
-  /// backends, one solver process per worker). Long-lived callers should
-  /// resolve once through core::Engine (core/Engine.h) instead of paying
-  /// backend construction per call.
-  std::string Backend;
   /// Discharge the worklist entailments ⋀R ⊨ ψ through incremental solver
   /// sessions (one per template pair): each conjunct of R is lowered and
   /// bit-blasted once per run, and queries reuse the session's learned
@@ -88,13 +72,12 @@ struct CheckOptions {
   /// resolved backend records per-goal DRUP slice streams into
   /// CheckResult::Proof, which core/CertificateIo.h serializes together
   /// with the relation into a certificate that the standalone
-  /// leapfrog-certcheck verifier replays with no engine linkage. Two
-  /// backend interactions: a "smtlib:<cmd>" Backend spec is transparently
-  /// rewritten to "crosscheck:<cmd>" (external solvers expose no usable
-  /// proofs, so the cross-checking reference leg records them instead),
-  /// and an explicit Solver instance that cannot capture proofs
-  /// (supportsProofCapture() false) makes the check fail with
-  /// Verdict::BadRequest rather than return an uncertified verdict.
+  /// leapfrog-certcheck verifier replays with no engine linkage. A Solver
+  /// that cannot capture proofs (supportsProofCapture() false) makes the
+  /// check fail with Verdict::BadRequest rather than return an
+  /// uncertified verdict; a certifying core::Engine resolves an
+  /// "smtlib:<cmd>" spec to "crosscheck:<cmd>" so external-solver checks
+  /// stay certifiable (the cross-checking reference leg records them).
   /// Capture is passive: verdicts, traces and decision streams are
   /// bit-identical to an uncertified run.
   bool Certify = false;
@@ -103,51 +86,21 @@ struct CheckOptions {
   /// retired-goal deletion; these limits add a hard backstop — a session
   /// over either bound is rebuilt from its premises, which changes
   /// memory, never answers. Ignored when UseIncremental is off or the
-  /// backend falls back to monolithic queries. With Jobs > 1 the limits
-  /// apply to every worker's sessions individually.
+  /// backend falls back to monolithic queries.
   smt::SessionLimits Limits;
-  /// Worker threads for the parallel frontier engine (parallel/): with
-  /// Jobs > 1, each frontier generation's entailment checks — mutually
-  /// independent once the premise set ⋀R is frozen — run concurrently on
-  /// Jobs workers, each owning an independent backend
-  /// (SmtSolver::spawnWorker) and one incremental session per template
-  /// pair; a sequential merge then replays the generation in frontier
-  /// order, which keeps every deterministic output (verdict, trace,
-  /// relation, certificate, all stats except SmtQueries and times)
-  /// bit-identical to Jobs == 1 for any job count or schedule. Jobs <= 1
-  /// is the classic single-threaded loop below. Falls back to the
-  /// sequential loop when the backend cannot spawn workers (custom
-  /// SmtSolver subclasses without spawnWorker). The parallel engine
-  /// always solves through per-worker sessions; UseIncremental selects
-  /// the lowering path of the sequential engine only.
-  size_t Jobs = 1;
-  /// Entailment-query batching: pop up to GoalBatch adjacent frontier
-  /// entries of one template pair and decide them against the same
-  /// frozen premise set in shared solver round-trips
+  /// Entailment-query batching: when a goal is posed, up to GoalBatch
+  /// upcoming frontier entries of the same template pair (from the next
+  /// 32 entries) are decided with it against the same
+  /// premise set in one shared solver round-trip
   /// (IncrementalSession::checkSatBatch) — per-goal answers are
   /// recovered from the round's model or failed-assumption core, so
   /// verdict, decision stream and certificate stay bit-identical to
   /// GoalBatch == 1; only the physical round-trip count
-  /// (SolverStats::RoundTrips) drops. 1 (the default) is the classic
-  /// one-query-per-goal loop. Requires UseIncremental; ignored
-  /// otherwise. Batching degrades to per-goal solving under proof
-  /// capture (Certify), which needs one proof slice per goal.
+  /// (SolverStats::RoundTrips) drops. 1 (the default) poses one goal per
+  /// query. Requires UseIncremental; ignored otherwise. Batching degrades
+  /// to per-goal solving under proof capture (Certify), which needs one
+  /// proof slice per goal.
   size_t GoalBatch = 1;
-  /// Pipelined epochs (Jobs > 1 only): start the next generation's
-  /// parallel decide phase while the current generation's sequential
-  /// merge drains, instead of idling every worker behind the merge
-  /// barrier. The merge re-derives the exact sequential Skip/Extend
-  /// stream (speculative entries whose same-pair premises grew since
-  /// their freeze point are re-queried — the same freeze protocol as the
-  /// barrier engine), so all deterministic outputs stay bit-identical to
-  /// Jobs == 1. Certification forces barrier mode: per-goal proof
-  /// streams are adopted in worker order at epoch boundaries, and
-  /// overlapped epochs would interleave them.
-  bool Pipeline = true;
-  /// Tasks per parallel epoch (0 = auto: max(32, Jobs * 8)). Exposed so
-  /// the scheduler-adversarial tests can perturb epoch boundaries —
-  /// every chunking must produce bit-identical results.
-  size_t Chunk = 0;
   /// Record one TraceStep per loop iteration (costs memory on big runs).
   bool RecordTrace = false;
 };
@@ -162,10 +115,12 @@ enum class Verdict {
   Equivalent,    ///< φ entails the weakest symbolic bisimulation.
   NotEquivalent, ///< The final (or an initial) check refuted φ.
   ResourceLimit, ///< MaxIterations hit before the frontier drained.
-  BadRequest,    ///< The request never ran: malformed options (an
-                 ///< unparseable Backend spec) or, at the service layer,
-                 ///< inadmissible input. FailureReason says why; no
-                 ///< property was decided and no certificate exists.
+  BadRequest,    ///< The request never ran: malformed options (Certify on
+                 ///< a backend that cannot capture proofs), an
+                 ///< unresolvable backend spec (core::Engine) or, at the
+                 ///< service layer, inadmissible input. FailureReason says
+                 ///< why; no property was decided and no certificate
+                 ///< exists.
 };
 
 /// One step of the proof-search trace (paper Figure 4's constructors).
@@ -201,9 +156,8 @@ struct CheckResult {
   std::string FailureReason;
   std::vector<TraceStep> Trace; ///< Populated iff RecordTrace.
   /// Per-goal DRUP slice streams recorded when Options.Certify was set:
-  /// one stream per solver session (workers' streams concatenated in
-  /// worker order by the parallel engine) plus one-shot streams for
-  /// monolithic queries. Together with Certificate this is what
+  /// one stream per solver session plus one-shot streams for monolithic
+  /// queries. Together with Certificate this is what
   /// core/CertificateIo.h serializes for leapfrog-certcheck. Shared
   /// ownership because results are copied around by caches.
   std::shared_ptr<smt::ProofLog> Proof;

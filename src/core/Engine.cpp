@@ -9,7 +9,6 @@
 
 #include "frontend/Elaborate.h"
 #include "frontend/Text.h"
-#include "parallel/ParallelChecker.h"
 #include "smt/SmtLibSolver.h"
 
 using namespace leapfrog;
@@ -97,9 +96,6 @@ struct Engine::Impl {
   /// caller supplied an instance.
   std::unique_ptr<smt::SmtSolver> OwnedPrimary;
   smt::SmtSolver *Primary = nullptr;
-  /// Per-worker backends + parked threads, populated on the first
-  /// Jobs > 1 check and reused for the engine's lifetime.
-  parallel::WarmRuntime Warm;
 };
 
 Engine::Engine() : I(std::make_unique<Impl>()) {}
@@ -109,8 +105,6 @@ std::unique_ptr<Engine> Engine::create(const EngineConfig &Config,
                                        std::string *Error) {
   std::unique_ptr<Engine> E(new Engine());
   E->I->Config = Config;
-  if (Config.Jobs == 0)
-    E->I->Config.Jobs = 1;
   if (Config.Solver) {
     E->I->Primary = Config.Solver;
     return E;
@@ -118,7 +112,7 @@ std::unique_ptr<Engine> Engine::create(const EngineConfig &Config,
   std::string Spec = Config.Backend.empty() ? "bitblast" : Config.Backend;
   // A certifying engine cannot run on a bare external backend (no proof
   // capture there); resolve to the cross-checking pair instead, whose
-  // reference leg records the slices. Mirrors the checkWithSpec rewrite.
+  // reference leg records the slices.
   if (Config.Certify && Spec.rfind("smtlib:", 0) == 0)
     Spec = "crosscheck:" + Spec.substr(std::string("smtlib:").size());
   std::string Err;
@@ -135,16 +129,12 @@ std::unique_ptr<Engine> Engine::create(const EngineConfig &Config,
 CheckResult Engine::check(const p4a::Automaton &Left,
                           const p4a::Automaton &Right, const InitialSpec &Spec,
                           const CheckOptions &Options) {
-  // Substitute the engine-level fields: the request's Solver/Backend/Jobs
-  // are documented as ignored here, so a CheckRequest built for one
-  // engine decides identically on another with the same configuration.
+  // Substitute the engine-level field: the request's Solver is
+  // documented as ignored here, so a CheckRequest built for one engine
+  // decides identically on another with the same configuration.
   CheckOptions O = Options;
   O.Solver = I->Primary;
-  O.Backend.clear();
-  O.Jobs = I->Config.Jobs;
   O.Certify = Options.Certify || I->Config.Certify;
-  if (O.Jobs > 1)
-    return parallel::checkWithSpecParallel(Left, Right, Spec, O, &I->Warm);
   return core::checkWithSpec(Left, Right, Spec, O);
 }
 
@@ -153,12 +143,3 @@ CheckResult Engine::check(const CheckRequest &Req) {
 }
 
 smt::SmtSolver &Engine::solver() { return *I->Primary; }
-
-size_t Engine::jobs() const { return I->Config.Jobs; }
-
-size_t Engine::warmWorkerCount() const { return I->Warm.WorkerSolvers.size(); }
-
-smt::SmtSolver *Engine::warmWorker(size_t Idx) {
-  return Idx < I->Warm.WorkerSolvers.size() ? I->Warm.WorkerSolvers[Idx].get()
-                                            : nullptr;
-}

@@ -6,30 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The resolved-engine API the one-shot entry points of Checker.h wrap: a
-/// core::Engine owns a *resolved* solver backend and the parallel
-/// runtime's warm state for its whole lifetime, and decides any number of
-/// CheckRequests against them. This is what a long-running service needs
-/// and what the free functions cannot provide — checkWithSpec() constructs
-/// and tears down its backend (external solver process included) on every
-/// call, so nothing stays warm between two checks.
+/// The resolved-engine API around the one-shot entry points of Checker.h:
+/// a core::Engine owns a *resolved* solver backend for its whole lifetime
+/// and decides any number of CheckRequests against it. This is what a
+/// long-running service needs: the backend (external solver process
+/// included) stays warm between two checks.
 ///
-/// The redesign also collapses the old dual backend plumbing — the
-/// CheckOptions::Solver instance pointer vs. the CheckOptions::Backend
-/// spec string, resolved at different layers with different failure
-/// behavior — into one step: Engine::create() resolves a spec (or adopts
-/// a caller-owned instance) exactly once, and *rejects* an unparseable
-/// spec with a structured error instead of warning on stderr and
-/// degrading to bitblast. Per-request knobs (budgets, session limits,
-/// search switches, tracing) stay in CheckOptions and travel with each
-/// CheckRequest; engine-level fields of CheckOptions (Solver, Backend,
-/// Jobs) are ignored by Engine::check, which substitutes its own.
+/// Engine::create() is the only place a backend spec string is resolved:
+/// it resolves a spec (or adopts a caller-owned instance) exactly once,
+/// and *rejects* an unparseable spec with a structured error instead of
+/// warning on stderr and degrading to bitblast. Per-request knobs
+/// (budgets, session limits, search switches, tracing) stay in
+/// CheckOptions and travel with each CheckRequest; the engine-level
+/// CheckOptions::Solver is ignored by Engine::check, which substitutes
+/// its own backend.
 ///
-/// Layering: Engine sits above Checker.h (it dispatches to the same
-/// sequential loop and parallel frontier engine, so verdicts, stats,
-/// traces and certificates are bit-identical to the free functions) and
-/// below serve/ (which adds the result cache, admission control and the
-/// wire protocol on top).
+/// Layering: Engine sits above Checker.h (it runs the same worklist loop,
+/// so verdicts, stats, traces and certificates are bit-identical to the
+/// free functions on the same backend) and below serve/ (which adds the
+/// result cache, admission control and the wire protocol on top).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +59,8 @@ struct CheckRequest {
   /// directly.
   InitialSpec Spec;
   /// Per-request knobs: budgets (MaxIterations, MaxWallMicros), session
-  /// Limits, search switches and RecordTrace are honored; Solver,
-  /// Backend and Jobs are engine-level and ignored by Engine::check.
+  /// Limits, search switches and RecordTrace are honored; Solver is
+  /// engine-level and ignored by Engine::check.
   CheckOptions Options;
 };
 
@@ -97,7 +92,7 @@ bool checkRequestFromSurface(const std::string &LeftText,
 /// and certificate store key on.
 p4a::Fingerprint requestFingerprint(const CheckRequest &Req);
 
-/// How the engine acquires its backend and how many workers it runs.
+/// How the engine acquires its backend.
 struct EngineConfig {
   /// Backend spec, resolved once by Engine::create() through
   /// smt::createSolverBackend(): "bitblast", "smtlib:<cmd>", or
@@ -116,20 +111,17 @@ struct EngineConfig {
   /// stay certifiable (the cross-checking reference leg records the
   /// slices). The service sets this when it runs a certificate store.
   bool Certify = false;
-  /// Worker threads for every check run on this engine (the
-  /// CheckOptions::Jobs of old, hoisted to the engine where the warm
-  /// per-worker backends live). 1 = the sequential loop.
-  size_t Jobs = 1;
 };
 
-/// A long-lived equivalence-checking engine: one resolved backend plus —
-/// with Jobs > 1 — warm per-worker backends and a parked worker pool,
-/// reused across every check() for the engine's lifetime. Decisions are
-/// bit-identical to checkWithSpec() with the same options; only what
-/// stays warm between calls differs.
+/// A long-lived equivalence-checking engine: one resolved backend, reused
+/// across every check() for the engine's lifetime. Decisions are
+/// bit-identical to checkWithSpec() on the same backend; only what stays
+/// warm between calls differs.
 ///
 /// Not thread-safe: one check() at a time, from the thread that owns the
-/// engine (the service runs one engine per lane; see serve/Service.h).
+/// engine. A check runs entirely on its caller's thread; concurrency
+/// comes from running independent checks on independent engines (the
+/// service runs one engine per lane; see serve/Service.h).
 class Engine {
 public:
   /// Resolves \p Config into an engine. Returns nullptr and sets
@@ -146,27 +138,18 @@ public:
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
-  /// Decides \p Req against the engine's warm backend and workers.
+  /// Decides \p Req against the engine's warm backend.
   CheckResult check(const CheckRequest &Req);
 
   /// Reference-taking variant for callers that keep their automata
-  /// elsewhere (the checkWithSpec wrapper); \p Options is honored the
-  /// same way as CheckRequest::Options.
+  /// elsewhere (the service lanes, benchmarks); \p Options is honored
+  /// the same way as CheckRequest::Options.
   CheckResult check(const p4a::Automaton &Left, const p4a::Automaton &Right,
                     const InitialSpec &Spec, const CheckOptions &Options);
 
   /// The resolved primary backend (for stats introspection and
   /// backend-specific knobs — CertifyUnsat, external timeouts).
   smt::SmtSolver &solver();
-
-  size_t jobs() const;
-
-  /// Warm per-worker backends currently alive (0 until the first
-  /// Jobs > 1 check; then Jobs for the engine's lifetime). Exposed so
-  /// tools and tests can report per-worker external-solver stats and pin
-  /// the one-process-per-worker lifecycle.
-  size_t warmWorkerCount() const;
-  smt::SmtSolver *warmWorker(size_t I);
 
 private:
   Engine();

@@ -6,12 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The syntactic identity keys the checker's frontier deduplicates on,
-/// shared between the sequential worklist loop (core/Checker.cpp) and the
-/// parallel frontier engine (parallel/ParallelChecker.cpp). Both engines
-/// MUST use the same keys: deduplication deletes frontier work, so any
-/// divergence between them would make the engines explore different
-/// frontiers and break the parallel-vs-sequential differential guarantee.
+/// The syntactic identity keys the checker's frontier deduplicates on
+/// (the worklist loop of core/Checker.cpp). Deduplication deletes
+/// frontier work, so these keys decide which conjuncts the search ever
+/// considers; they live in a header of their own so tests can pin them.
 ///
 /// The guard must be rendered *exactly*, never hashed: a key collision
 /// silently drops a conjunct and can flip the verdict. This is not

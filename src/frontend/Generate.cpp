@@ -40,7 +40,7 @@ struct Rng {
 
 /// The generator's fixed shape vocabulary. Small widths keep every
 /// generated pair decidable in milliseconds, so the harness can afford
-/// jobs × backend sweeps per seed.
+/// backend and certification sweeps per seed.
 constexpr size_t HeaderWidths[] = {2, 4, 8};
 constexpr size_t StackSlots = 2;
 constexpr size_t StackBits = 4;

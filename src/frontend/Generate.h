@@ -51,8 +51,8 @@ SurfaceProgram renameStates(const SurfaceProgram &Program,
 /// from \p Seed: flip a pattern bit, swap or drop a select case,
 /// retarget a transition, or shift a slice window. The result still
 /// elaborates; whether it is equivalent to \p Program is deliberately
-/// unknown — the differential harness only asserts that every
-/// (jobs, backend) configuration returns the *same* verdict.
+/// unknown — the differential harness only asserts that every backend
+/// configuration returns the *same* verdict.
 SurfaceProgram mutateProgram(const SurfaceProgram &Program, uint64_t Seed);
 
 } // namespace frontend

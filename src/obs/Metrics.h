@@ -7,7 +7,7 @@
 //
 // A dependency-free registry of named counters, gauges and fixed-bucket
 // latency histograms, shared by every layer of the engine (SAT core, SMT
-// sessions, external backends, checker, parallel engine, service). Design
+// sessions, external backends, checker, service). Design
 // rules, in priority order:
 //
 //  1. Passive. Nothing here feeds back into the search: metrics are written,
@@ -16,9 +16,9 @@
 //     index computation plus three relaxed adds and a CAS max). Name lookup
 //     happens once per call site — callers cache the returned handle in a
 //     function-local static — so the registry mutex is off the hot path.
-//  3. Mergeable. MetricsSnapshot mirrors SolverStats::merge: counters and
-//     histogram buckets add, gauges take the last value, peaks max. Merge is
-//     associative, which the ObservabilityTest suite pins.
+//  3. Mergeable: counters and histogram buckets add, gauges take the last
+//     value, peaks max. Merge is associative, which the ObservabilityTest
+//     suite pins.
 //
 // Rendering is deterministic (names sorted, integers only) so snapshots can
 // be compared byte-wise in tests; toJson() emits a single-line JSON object

@@ -18,7 +18,7 @@
 //    touched, no clock is read.
 //  * Thread-aware: each thread gets a stable small tid from a thread-local
 //    counter; nameCurrentThread() emits the `thread_name` metadata event
-//    that gives per-worker tracks on the Perfetto timeline.
+//    that labels a thread's track on the Perfetto timeline.
 //
 // Event phases follow the trace_event spec: B/E span pairs (begin/end on the
 // same thread), i instants, C counter tracks, M metadata.

@@ -30,11 +30,9 @@ CacheKey serve::makeCacheKey(const core::CheckRequest &Req) {
   Canonical += ";max_learnts=" + std::to_string(O.Limits.MaxLearnts);
   Canonical += ";max_arena_bytes=" + std::to_string(O.Limits.MaxArenaBytes);
   Canonical += ";trace=" + std::to_string(O.RecordTrace ? 1 : 0);
-  // Schedule knobs: verdict-identical by construction, but GoalBatch
-  // changes SmtQueries and the cache promises bit-identical stats.
-  Canonical += ";pipeline=" + std::to_string(O.Pipeline ? 1 : 0);
+  // GoalBatch is verdict-identical by construction, but it changes
+  // SmtQueries and the cache promises bit-identical stats.
   Canonical += ";goal_batch=" + std::to_string(O.GoalBatch);
-  Canonical += ";chunk=" + std::to_string(O.Chunk);
   Canonical += "\n";
 
   CacheKey Key;

@@ -38,14 +38,12 @@
 /// MaxWallMicros — a ResourceLimit under a small budget says nothing
 /// about a larger one), UseIncremental and the session Limits (answers
 /// are identical by contract, but stats are not, and the cache promises
-/// bit-identical stats), RecordTrace, and the schedule knobs (Pipeline,
-/// GoalBatch, Chunk — verdict-identical by construction, but GoalBatch
-/// folds adjacent goals into shared solver calls and so shifts the
-/// SmtQueries stat). Excluded: Jobs (the parallel
-/// engine is bit-identical to sequential by construction — that is PR 4's
-/// theorem) and the backend (backends change performance, never
-/// verdicts; and the backend is engine-level, fixed for the service's
-/// lifetime). MaxWallMicros is a key component *and* inherently racy —
+/// bit-identical stats), RecordTrace, and GoalBatch (verdict-identical
+/// by construction, but it folds adjacent goals into shared solver calls
+/// and so shifts the SmtQueries stat). Excluded: the backend (backends
+/// change performance, never verdicts; and the backend is engine-level,
+/// fixed for the service's lifetime). MaxWallMicros is a key component
+/// *and* inherently racy —
 /// the same pair under the same wall budget can finish or not on a
 /// loaded machine; the cache makes repeat answers deterministic, which
 /// is strictly better than re-racing the clock.

@@ -81,8 +81,10 @@ Json statsJson(const core::CheckStats &S) {
 
 /// Decodes the per-request option subset the protocol exposes. Unknown
 /// fields are ignored (forward compatibility); engine-level fields
-/// (backend, jobs) are server-side flags, not request fields, so their
-/// presence here is a client error worth rejecting loudly.
+/// (backend) are server-side flags, not request fields, so their
+/// presence here is a client error worth rejecting loudly. `jobs` is
+/// rejected the same way: a check runs on one thread, and a client that
+/// asks for workers must hear that rather than be silently ignored.
 bool decodeOptions(const Json &J, core::CheckOptions &O, std::string &Err) {
   if (J.isNull())
     return true;
@@ -105,11 +107,9 @@ bool decodeOptions(const Json &J, core::CheckOptions &O, std::string &Err) {
       size_t(J.getUnsigned("max_learnts", O.Limits.MaxLearnts));
   O.Limits.MaxArenaBytes =
       size_t(J.getUnsigned("max_arena_bytes", O.Limits.MaxArenaBytes));
-  O.Pipeline = J.getBool("pipeline", O.Pipeline);
   O.GoalBatch = size_t(J.getUnsigned("goal_batch", O.GoalBatch));
   if (O.GoalBatch < 1)
     O.GoalBatch = 1;
-  O.Chunk = size_t(J.getUnsigned("chunk", O.Chunk));
   return true;
 }
 
@@ -171,7 +171,6 @@ std::string Server::handleLine(const std::string &Line) {
     R.set("cache", Cache);
     Json Cfg = Json::object();
     Cfg.set("lanes", Json::unsignedInt(Svc->config().Lanes));
-    Cfg.set("jobs", Json::unsignedInt(Svc->config().Engine.Jobs));
     Cfg.set("backend", Json::str(Svc->config().Engine.Backend));
     Cfg.set("max_queue", Json::unsignedInt(Svc->config().MaxQueue));
     Cfg.set("max_iterations_cap",

@@ -387,4 +387,3 @@ CheckService::Stats CheckService::stats() const {
 
 const ServiceConfig &CheckService::config() const { return I->Config; }
 
-core::Engine &CheckService::laneEngine(size_t Lane) { return *I->Lanes[Lane]; }

@@ -28,12 +28,13 @@
 ///      queue without bound; a rejected request costs the client a
 ///      resubmit, an unbounded queue costs the operator the process.
 ///   5. Lane acquisition + compute — one engine per lane, each with its
-///      warm backend and workers; the check runs outside every lock.
+///      warm backend; the check runs outside every lock.
 ///
 /// Thread-safety: submit() may be called from any number of threads
 /// (the socket server runs one per connection); each *lane* is single-
 /// threaded by construction, which is exactly the threading contract
-/// core::Engine demands.
+/// core::Engine demands. One check runs on one thread; independent
+/// checks run at the same time only on different lanes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +52,11 @@ namespace leapfrog {
 namespace serve {
 
 struct ServiceConfig {
-  /// Backend spec + jobs for every lane engine (lanes are homogeneous;
-  /// an unresolvable backend fails CheckService::create, structured).
+  /// Backend spec for every lane engine (lanes are homogeneous; an
+  /// unresolvable backend fails CheckService::create, structured).
   core::EngineConfig Engine;
-  /// Concurrent computations (one warm engine each). Lanes multiply
-  /// resident solver processes: total externals = Lanes x Jobs.
+  /// Concurrent computations (one warm engine each). Each lane of an
+  /// external backend holds one resident solver process.
   size_t Lanes = 1;
   /// Service-side ceilings on per-request budgets; 0 = no ceiling. A
   /// request asking for 0 (= unlimited) or more than the cap is clamped
@@ -137,9 +138,6 @@ public:
 
   Stats stats() const;
   const ServiceConfig &config() const;
-
-  /// Lane 0's engine, for tests that pin warm-worker lifecycles.
-  core::Engine &laneEngine(size_t Lane);
 
 private:
   CheckService();

@@ -97,12 +97,12 @@ bool ExtProcess::start(const std::vector<std::string> &Argv,
     return Fail("empty command");
   ignoreSigpipeOnce();
 
-  // O_CLOEXEC atomically: backends on different threads (--jobs) fork
-  // concurrently, and a pipe end leaked into a sibling's child would
-  // keep this child's stdout open after it dies — EOF detection would
-  // then stall for the full reply timeout instead of failing over
-  // instantly. dup2 below clears the flag on exactly the two fds the
-  // child must keep.
+  // O_CLOEXEC atomically: backends on different service lanes (one
+  // thread each) fork concurrently, and a pipe end leaked into a
+  // sibling's child would keep this child's stdout open after it dies —
+  // EOF detection would then stall for the full reply timeout instead of
+  // failing over instantly. dup2 below clears the flag on exactly the
+  // two fds the child must keep.
   int ToChild[2] = {-1, -1}, FromChild[2] = {-1, -1};
   if (::pipe2(ToChild, O_CLOEXEC) != 0)
     return Fail(std::string("pipe2: ") + std::strerror(errno));

@@ -17,7 +17,7 @@
 /// backend that spawned it. The threading contract matches the rest of
 /// smt/: one ExtProcess belongs to exactly one backend instance, and
 /// backend instances never cross threads (docs/ARCHITECTURE.md, "Threading
-/// contract" — one external process per worker).
+/// contract" — one external process per lane).
 ///
 //===----------------------------------------------------------------------===//
 

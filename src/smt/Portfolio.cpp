@@ -254,13 +254,3 @@ PortfolioSolver::openSession(const SessionLimits &Limits) {
   return std::make_unique<PortfolioSession>(*this, Limits);
 }
 
-std::unique_ptr<SmtSolver> PortfolioSolver::spawnWorker() {
-  std::vector<std::unique_ptr<SmtSolver>> Ws;
-  for (std::unique_ptr<Leg> &L : Legs) {
-    std::unique_ptr<SmtSolver> W = L->Solver->spawnWorker();
-    if (!W)
-      return nullptr;
-    Ws.push_back(std::move(W));
-  }
-  return std::make_unique<PortfolioSolver>(std::move(Ws));
-}

@@ -60,11 +60,6 @@ public:
   openSession(const SessionLimits &Limits) override;
   using SmtSolver::openSession;
 
-  /// A worker portfolio races workers of every leg; nullptr when any leg
-  /// cannot spawn (the parallel engine then falls back to sequential,
-  /// same as for any other non-spawning backend).
-  std::unique_ptr<SmtSolver> spawnWorker() override;
-
   /// Racing makes proof provenance schedule-dependent; see file comment.
   bool supportsProofCapture() const override { return false; }
 

@@ -16,9 +16,7 @@
 //    each entailment goal (goal begin under an activation variable, goal
 //    end with an UNSAT core or a SAT answer, session restart).
 //  - ProofLog: an ordered collection of streams — one per solver
-//    incarnation — with stable references and an adopt() operation the
-//    parallel merge uses to concatenate worker logs into the sequential
-//    proof artifact.
+//    incarnation — with stable references.
 //  - StreamingProofChecker: a deletion-aware incremental RUP checker that
 //    validates a certified session's stream as it is produced, for
 //    CertifyUnsat runs that do not record a log.
@@ -124,10 +122,8 @@ private:
 };
 
 /// An ordered collection of proof streams — the proof artifact for one
-/// check. Sequential checks fill one stream per session (plus one-shot
-/// streams for monolithic queries); the parallel engine harvests each
-/// worker's log with adopt() so the final artifact lists every slice that
-/// justified an UNSAT answer used by the merge. Streams have stable
+/// check: one stream per session plus one-shot streams for monolithic
+/// queries. Streams have stable
 /// addresses for the lifetime of the log (deque storage), so sessions keep
 /// raw pointers into it while attached.
 class ProofLog {
@@ -138,15 +134,6 @@ public:
   }
   size_t streamCount() const { return Streams.size(); }
   const ProofStream &stream(size_t I) const { return Streams[I]; }
-
-  /// Moves every stream of \p Other to the end of this log, in order,
-  /// leaving \p Other empty. Used by the parallel merge to concatenate
-  /// worker logs in worker-index order.
-  void adopt(ProofLog &Other) {
-    for (ProofStream &S : Other.Streams)
-      Streams.push_back(std::move(S));
-    Other.Streams.clear();
-  }
 
   size_t totalEvents() const {
     size_t N = 0;

@@ -734,10 +734,6 @@ SmtLibSolver::openSession(const SessionLimits &Limits) {
   return std::make_unique<ExtSession>(*this, Limits);
 }
 
-std::unique_ptr<SmtSolver> SmtLibSolver::spawnWorker() {
-  return std::make_unique<SmtLibSolver>(Config);
-}
-
 //===----------------------------------------------------------------------===//
 // CrossCheckSolver
 //===----------------------------------------------------------------------===//
@@ -844,16 +840,6 @@ std::unique_ptr<SmtSolver::IncrementalSession>
 CrossCheckSolver::openSession(const SessionLimits &Limits) {
   ++Stats.SessionsOpened;
   return std::make_unique<CrossSession>(*this, Limits);
-}
-
-std::unique_ptr<SmtSolver> CrossCheckSolver::spawnWorker() {
-  std::unique_ptr<SmtSolver> R = Ref->spawnWorker();
-  std::unique_ptr<SmtSolver> E = Extern->spawnWorker();
-  if (!R || !E)
-    return nullptr;
-  auto W = std::make_unique<CrossCheckSolver>(std::move(R), std::move(E));
-  W->AbortOnDivergence = AbortOnDivergence;
-  return W;
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,13 +30,13 @@
 ///    that the ROADMAP's external-backend item asks for.
 ///
 ///  - createSolverBackend(): the backend factory behind
-///    core::CheckOptions::Backend and the CLI's --backend flag
+///    core::Engine::create and the CLI's --backend flag
 ///    ("bitblast" | "smtlib:<cmd>" | "crosscheck[:<cmd>]").
 ///
 /// Threading contract (docs/ARCHITECTURE.md): one external process
-/// belongs to exactly one backend instance, and spawnWorker() gives every
-/// worker of the parallel frontier engine its own SmtLibSolver — hence
-/// its own process. Processes, pipes and sessions never cross threads.
+/// belongs to exactly one backend instance, and one backend instance to
+/// one thread (the service builds one per lane). Processes, pipes and
+/// sessions never cross threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,11 +95,6 @@ public:
   std::unique_ptr<IncrementalSession>
   openSession(const SessionLimits &Limits) override;
   using SmtSolver::openSession;
-
-  /// A fresh SmtLibSolver with the same configuration — and therefore its
-  /// own external process. This is what keeps the parallel frontier
-  /// engine's one-process-per-worker rule structural rather than policed.
-  std::unique_ptr<SmtSolver> spawnWorker() override;
 
   /// External-transport counters, separate from SolverStats (which keeps
   /// the same backend-agnostic meaning as everywhere else).
@@ -222,8 +217,6 @@ public:
   std::unique_ptr<IncrementalSession>
   openSession(const SessionLimits &Limits) override;
   using SmtSolver::openSession;
-  /// Workers cross-check too: both children must be able to spawn.
-  std::unique_ptr<SmtSolver> spawnWorker() override;
 
   bool AbortOnDivergence = true;
 
@@ -275,7 +268,7 @@ private:
   XStats X;
 };
 
-/// The backend factory behind core::CheckOptions::Backend and the CLI's
+/// The backend factory behind core::Engine::create and the CLI's
 /// --backend flag. Specs:
 ///
 ///   "" / "bitblast"      — the in-repo bit-blasting backend (default)

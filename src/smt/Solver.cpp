@@ -27,36 +27,6 @@ bool SmtSolver::isValid(const BvFormulaRef &F, Model *Counterexample) {
   return checkSat(BvFormula::mkNot(F), Counterexample) == SatResult::Unsat;
 }
 
-void SolverStats::merge(const SolverStats &O) {
-  Queries += O.Queries;
-  SatAnswers += O.SatAnswers;
-  UnsatAnswers += O.UnsatAnswers;
-  RoundTrips += O.RoundTrips;
-  TotalSatVars += O.TotalSatVars;
-  TotalSatClauses += O.TotalSatClauses;
-  TotalMicros += O.TotalMicros;
-  MaxMicros = std::max(MaxMicros, O.MaxMicros);
-  QueryMicros.insert(QueryMicros.end(), O.QueryMicros.begin(),
-                     O.QueryMicros.end());
-  CertifiedUnsat += O.CertifiedUnsat;
-  ProofLemmas += O.ProofLemmas;
-  ProofMicros += O.ProofMicros;
-  SessionsOpened += O.SessionsOpened;
-  SessionQueries += O.SessionQueries;
-  SessionPremises += O.SessionPremises;
-  PremiseCacheHits += O.PremiseCacheHits;
-  ReusedClauses += O.ReusedClauses;
-  ClausesDeleted += O.ClausesDeleted;
-  ReduceDbRuns += O.ReduceDbRuns;
-  // Peaks stay per-instance maxima (see the header): workers don't share
-  // CDCL arenas, so the merged record answers "how hot did any one
-  // session get", which is the quantity SessionLimits bounds.
-  ArenaBytesPeak = std::max(ArenaBytesPeak, O.ArenaBytesPeak);
-  PeakLearnts = std::max(PeakLearnts, O.PeakLearnts);
-  SessionRestarts += O.SessionRestarts;
-  PremisesGcd += O.PremisesGcd;
-}
-
 //===----------------------------------------------------------------------===//
 // Incremental sessions
 //===----------------------------------------------------------------------===//
@@ -625,15 +595,6 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   return SatResult::Sat;
 }
 
-std::unique_ptr<SmtSolver> BitBlastSolver::spawnWorker() {
-  auto W = std::make_unique<BitBlastSolver>();
-  W->CertifyUnsat = CertifyUnsat;
-  W->SessionReduce = SessionReduce;
-  W->SessionHardRetire = SessionHardRetire;
-  W->SessionPurgeBatch = SessionPurgeBatch;
-  return W;
-}
-
 SmtSolver &smt::defaultSolver() {
   static BitBlastSolver Solver;
 #ifndef NDEBUG
@@ -645,9 +606,8 @@ SmtSolver &smt::defaultSolver() {
   // a race without synchronization that the release build doesn't pay
   // for. Programs that check from more than one thread (even one at a
   // time) must construct their own BitBlastSolver and pass it via
-  // core::CheckOptions::Solver — or use CheckOptions::Jobs, whose worker
-  // threads get independent backends via SmtSolver::spawnWorker() (the
-  // per-worker session contract; see "Threading contract" in
+  // core::CheckOptions::Solver, or a core::Engine per thread (the
+  // threading contract; see "Threading contract" in
   // docs/ARCHITECTURE.md). On violation we print both thread ids before
   // failing: a bare assert cannot say *which* threads collided, and that
   // is the first thing the contract's debugger needs to know.
@@ -659,16 +619,14 @@ SmtSolver &smt::defaultSolver() {
            "touched it (thread "
         << Owner << ") but was called from thread "
         << std::this_thread::get_id()
-        << ".\nPer-worker session contract: every thread needs its own "
-           "backend — construct a BitBlastSolver per thread (pass it via "
-           "core::CheckOptions::Solver), or run the checker with "
-           "CheckOptions::Jobs > 1, which spawns one backend + session "
-           "set per worker (SmtSolver::spawnWorker; see 'Threading "
-           "contract' in docs/ARCHITECTURE.md).\n";
+        << ".\nThreading contract: every thread needs its own backend — "
+           "construct a BitBlastSolver per thread (pass it via "
+           "core::CheckOptions::Solver), or a core::Engine per thread "
+           "(see 'Threading contract' in docs/ARCHITECTURE.md).\n";
     std::fputs(Msg.str().c_str(), stderr);
     assert(false && "defaultSolver() used from a second thread; see the "
                     "diagnostic above for both thread ids and the "
-                    "per-worker session contract");
+                    "threading contract");
   }
 #endif
   return Solver;

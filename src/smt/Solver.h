@@ -89,21 +89,6 @@ struct SolverStats {
                                 ///< when a session restart dropped its
                                 ///< solver; the premises themselves are
                                 ///< re-blasted from the cached formulas.
-
-  /// Folds \p O into this record: totals (query counts, micros, clause
-  /// counts, session counters) add, peaks (MaxMicros, ArenaBytesPeak,
-  /// PeakLearnts) take the maximum, and the per-query latency vector is
-  /// concatenated. This is the aggregation path of the parallel frontier
-  /// engine: each worker accumulates into its own backend's stats with no
-  /// synchronization, and the coordinator merges the per-worker records
-  /// after the run (see SmtSolver::absorbStats). Merging is associative
-  /// and commutative except for QueryMicros order, which no consumer
-  /// depends on (the bench harness sorts before taking percentiles).
-  /// Note the peak semantics: after a merge, ArenaBytesPeak/PeakLearnts
-  /// still mean "max any single CDCL instance reached", never a sum —
-  /// concurrent instances don't share an arena, so summing would
-  /// overstate per-instance pressure, which is what SessionLimits bounds.
-  void merge(const SolverStats &O);
 };
 
 /// Memory bounds for an incremental session (0 = unlimited). Checked
@@ -194,22 +179,6 @@ public:
     return openSession(SessionLimits());
   }
 
-  /// Spawns an *independent* backend suitable for a worker thread of the
-  /// parallel frontier engine: a fresh instance of the same backend
-  /// configuration, sharing no mutable state (no statistics, sessions,
-  /// caches) with this solver, so the worker may use it — and sessions
-  /// opened on it — from its own thread without synchronization. Returns
-  /// nullptr when the backend cannot provide one (the base default), in
-  /// which case callers must stay single-threaded; core::checkWithSpec
-  /// falls back to the sequential engine in that case. Fold a worker's
-  /// statistics back with absorbStats() after joining it.
-  virtual std::unique_ptr<SmtSolver> spawnWorker() { return nullptr; }
-
-  /// Merges \p O into this solver's statistics (see SolverStats::merge).
-  /// The caller must guarantee exclusive access to both records — the
-  /// parallel engine calls this only after its worker threads joined.
-  void absorbStats(const SolverStats &O) { Stats.merge(O); }
-
   /// Attaches a proof log (see ProofLog.h): sessions opened while a log is
   /// attached record one per-goal DRUP slice stream each, and one-shot
   /// UNSAT answers record one-shot streams, so every UNSAT this backend
@@ -266,7 +235,6 @@ public:
   bool isValid(const BvFormulaRef &F, Model *Counterexample = nullptr);
 
   const SolverStats &stats() const { return Stats; }
-  void resetStats() { Stats = SolverStats(); }
 
 protected:
   SolverStats Stats;
@@ -350,12 +318,6 @@ public:
   /// purge at every opportunity.
   size_t SessionPurgeBatch = 2048;
 
-  /// A fresh BitBlastSolver with this instance's configuration
-  /// (CertifyUnsat, SessionReduce, SessionHardRetire, SessionPurgeBatch)
-  /// and zeroed statistics — the per-worker backend contract of the
-  /// parallel frontier engine.
-  std::unique_ptr<SmtSolver> spawnWorker() override;
-
   /// Cooperative cancellation: the interrupt flag is wired into every
   /// CDCL instance this backend creates (session solvers at build time,
   /// one-shot solvers per query), which poll it once per search
@@ -386,10 +348,9 @@ private:
 /// never rebinds, so even sequential use from a second thread trips the
 /// check (the conservative rule is free of synchronization), and the
 /// diagnostic reports both the owning and the offending thread id; any
-/// multi-thread program should construct explicit BitBlastSolver
-/// instances instead (or let the parallel frontier engine spawn them via
-/// SmtSolver::spawnWorker — one backend plus one session set per worker
-/// is the threading contract, see docs/ARCHITECTURE.md).
+/// multi-thread program should construct one backend per thread instead
+/// (one check = one thread = one backend is the threading contract, see
+/// docs/ARCHITECTURE.md; the service builds one core::Engine per lane).
 SmtSolver &defaultSolver();
 
 } // namespace smt

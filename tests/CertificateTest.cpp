@@ -231,7 +231,7 @@ bool readFileAll(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Runs a certified check (any jobs count, any backend spec) through the
+/// Runs a certified check (any backend spec) through the
 /// same engine API the CLI and service use, and returns the result plus
 /// the serialized LFCERT text for Equivalent verdicts.
 struct CertifiedRun {
@@ -240,11 +240,10 @@ struct CertifiedRun {
   std::string FingerprintHex;
 };
 
-CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs,
+CertifiedRun runCertified(const CheckRequest &Req,
                           const std::string &Backend) {
   EngineConfig Cfg;
   Cfg.Backend = Backend;
-  Cfg.Jobs = Jobs;
   Cfg.Certify = true;
   std::string Err;
   std::unique_ptr<Engine> E = Engine::create(Cfg, &Err);
@@ -305,7 +304,7 @@ TEST(CertStream, EmitsVerifiableCertificate) {
   CheckRequest Req = makeLanguageEquivalenceRequest(
       L, p4a::StateRef::normal(*L.findState("q1")), R,
       p4a::StateRef::normal(*R.findState("q3")), {});
-  CertifiedRun Run = runCertified(Req, 1, "bitblast");
+  CertifiedRun Run = runCertified(Req, "bitblast");
   ASSERT_TRUE(Run.Res.equivalent()) << Run.Res.FailureReason;
   ASSERT_FALSE(Run.CertText.empty());
 
@@ -363,7 +362,7 @@ TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
   CheckRequest Req = makeLanguageEquivalenceRequest(
       L, p4a::StateRef::normal(*L.findState("q1")), R,
       p4a::StateRef::normal(*R.findState("q3")), {});
-  CertifiedRun Run = runCertified(Req, 1, "bitblast");
+  CertifiedRun Run = runCertified(Req, "bitblast");
   ASSERT_TRUE(Run.Res.equivalent());
   const std::string &Good = Run.CertText;
   ASSERT_TRUE(cert::verifyCertificate(Good, {}).Ok);
@@ -507,16 +506,10 @@ TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
 
 //===----------------------------------------------------------------------===//
 // Differential acceptance sweep: registry studies + the corpus pairs,
-// across jobs x backend. Every Equivalent verdict must carry a
+// across backends. Every Equivalent verdict must carry a
 // certcheck-accepted certificate, and the certified decision stream must
 // be bit-identical to the uncertified one.
 //===----------------------------------------------------------------------===//
-
-struct SweepConfig {
-  size_t Jobs;
-  bool Shim; ///< false = bitblast, true = smtlib:<shim> (certify promotes
-             ///< it to crosscheck around the same shim).
-};
 
 void expectDecisionIdentical(const CheckRequest &Req, const CheckResult &A,
                              const CheckResult &B, const std::string &Label) {
@@ -533,8 +526,8 @@ void expectDecisionIdentical(const CheckRequest &Req, const CheckResult &A,
   }
 }
 
-/// Runs every sweep configuration (jobs {1,2} x backend {bitblast,
-/// smtlib:shim}) over \p Req, asserting that certified decisions are
+/// Runs every sweep configuration (backend {bitblast, smtlib:shim}) over
+/// \p Req, asserting that certified decisions are
 /// bit-identical to the uncertified baseline and that every Equivalent
 /// verdict yields a verifying certificate. \p ShimCap, when nonzero,
 /// caps MaxIterations for the shim legs (and their baselines): the
@@ -543,45 +536,34 @@ void expectDecisionIdentical(const CheckRequest &Req, const CheckResult &A,
 /// a deterministic ResourceLimit exercises the same certified pipeline.
 void sweepOnePair(const std::string &Label, const CheckRequest &Req,
                   size_t ShimCap, size_t &Equivalents) {
-  const SweepConfig Configs[] = {
-      {1, false}, {2, false}, {1, true}, {2, true}};
   std::string Shim = shimPath();
 
   CheckRequest ShimReq = Req;
   if (ShimCap)
     ShimReq.Options.MaxIterations = ShimCap;
 
-  // The uncertified baselines, per jobs level and budget (backend never
-  // changes decisions; crosscheck asserts that internally per query).
-  CheckResult Baseline[3], ShimBaseline[3];
-  for (size_t J : {size_t(1), size_t(2)}) {
-    EngineConfig Cfg;
-    Cfg.Jobs = J;
-    std::string Err;
-    std::unique_ptr<Engine> E = Engine::create(Cfg, &Err);
-    ASSERT_NE(E, nullptr) << Err;
-    Baseline[J] = E->check(Req);
-    ShimBaseline[J] = ShimCap ? E->check(ShimReq) : Baseline[J];
-  }
-  expectDecisionIdentical(Req, Baseline[1], Baseline[2],
-                          Label + " jobs 1 vs 2, uncertified");
+  // The uncertified baselines, per budget (backend never changes
+  // decisions; crosscheck asserts that internally per query).
+  std::string Err;
+  std::unique_ptr<Engine> E = Engine::create(EngineConfig(), &Err);
+  ASSERT_NE(E, nullptr) << Err;
+  CheckResult Baseline = E->check(Req);
+  CheckResult ShimBaseline = ShimCap ? E->check(ShimReq) : Baseline;
 
-  for (const SweepConfig &C : Configs) {
-    if (C.Shim && Shim.empty())
+  for (bool UseShim : {false, true}) {
+    if (UseShim && Shim.empty())
       continue; // the shim leg needs the binary CTest exports
-    std::string Backend = C.Shim ? "smtlib:" + Shim : "bitblast";
-    std::string CfgLabel = Label + " [jobs=" + std::to_string(C.Jobs) +
-                           " backend=" + (C.Shim ? "smtlib:shim" : "bitblast") +
-                           "]";
+    std::string Backend = UseShim ? "smtlib:" + Shim : "bitblast";
+    std::string CfgLabel = Label + " [backend=" +
+                           (UseShim ? "smtlib:shim" : "bitblast") + "]";
     if (std::getenv("LEAPFROG_SWEEP_TRACE"))
       std::fprintf(stderr, "sweep: %s\n", CfgLabel.c_str());
-    const CheckRequest &CfgReq = C.Shim ? ShimReq : Req;
-    CertifiedRun Run = runCertified(CfgReq, C.Jobs, Backend);
+    const CheckRequest &CfgReq = UseShim ? ShimReq : Req;
+    CertifiedRun Run = runCertified(CfgReq, Backend);
 
     // Certified decisions == uncertified decisions, bit for bit.
     expectDecisionIdentical(CfgReq, Run.Res,
-                            C.Shim ? ShimBaseline[C.Jobs] : Baseline[C.Jobs],
-                            CfgLabel);
+                            UseShim ? ShimBaseline : Baseline, CfgLabel);
 
     if (Run.Res.V != Verdict::Equivalent)
       continue;
@@ -610,8 +592,9 @@ TEST(CertStream, AcceptanceSweepRegistryStudies) {
                  Equivalents);
   }
   // The sweep must not be vacuous: the Utility studies decide Equivalent
-  // under every configuration.
-  EXPECT_GE(Equivalents, 8u);
+  // under every configuration (the floor counts the bitblast leg alone,
+  // so it holds when the shim is absent too).
+  EXPECT_GE(Equivalents, 4u);
 }
 
 TEST(CertStream, AcceptanceSweepCorpusPairs) {
@@ -672,8 +655,8 @@ TEST(CertStream, AcceptanceSweepCorpusPairs) {
   }
   // Every equivalent corpus pair, under every configuration, produced a
   // verified certificate; the refuted/budgeted ones exercised the
-  // no-certificate path.
-  EXPECT_GE(Equivalents, 16u);
+  // no-certificate path. The floor counts the bitblast leg alone.
+  EXPECT_GE(Equivalents, 8u);
 }
 
 } // namespace

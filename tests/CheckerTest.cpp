@@ -501,6 +501,36 @@ INSTANTIATE_TEST_SUITE_P(Registry, IncrementalDifferential,
                          ::testing::Range<size_t>(0, 10));
 
 //===----------------------------------------------------------------------===//
+// Iteration budget accounting
+//===----------------------------------------------------------------------===//
+
+/// A run stopped by an iteration budget of N reports exactly the N
+/// iterations it ran — each one a Skip or an Extend — not N + 1 for the
+/// pop the budget refused. The Applicability rows never finish under
+/// these budgets, so every run here is a budget stop.
+TEST(CheckerBudget, StoppedRunReportsExactlyTheBudget) {
+  size_t Rows = 0;
+  for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
+    if (Study.Category != "Applicability")
+      continue;
+    ++Rows;
+    for (size_t Budget : {size_t(1), size_t(50)}) {
+      CheckOptions O;
+      O.MaxIterations = Budget;
+      smt::BitBlastSolver Solver;
+      O.Solver = &Solver;
+      CheckResult Res = checkLanguageEquivalence(
+          Study.Left, Study.LeftStart, Study.Right, Study.RightStart, O);
+      ASSERT_EQ(Res.V, Verdict::ResourceLimit)
+          << Study.Name << " budget " << Budget << ": " << Res.FailureReason;
+      EXPECT_EQ(Res.Stats.Iterations, Budget) << Study.Name;
+      EXPECT_EQ(Res.Stats.Extends + Res.Stats.Skips, Budget) << Study.Name;
+    }
+  }
+  EXPECT_GT(Rows, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Frontier deduplication must use exact identity, not hashes
 //===----------------------------------------------------------------------===//
 

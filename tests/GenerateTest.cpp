@@ -17,9 +17,9 @@
 //     construction and the checker must say so.
 //
 //  3. Differential fuzz — for each seed, the (program, mutant) pair is
-//     checked under every (jobs, backend) configuration; all runs must
-//     return the same verdict, and the parallel engine must reproduce
-//     the sequential decision stream bit-for-bit. On any mismatch the
+//     checked under every backend configuration (and certified); all
+//     runs must return the same verdict and the same decision counters.
+//     On any mismatch the
 //     harness prints the seed and dumps both sides as .lfp files, so
 //     `leapfrog-cli --file` replays the exact failing pair.
 //
@@ -31,6 +31,7 @@
 #include "cert/CertVerify.h"
 #include "core/CertificateIo.h"
 #include "core/Checker.h"
+#include "core/Engine.h"
 #include "frontend/Elaborate.h"
 #include "frontend/Generate.h"
 #include "frontend/Text.h"
@@ -99,21 +100,27 @@ std::string dumpProgram(const SurfaceProgram &Program,
 }
 
 /// \p MaxIterations defaults tight: the differential layer only asserts
-/// that every (jobs, backend) configuration *agrees*, which holds for
-/// ResourceLimit runs too, and a tight budget keeps the 4-way matrix
-/// fast at nightly depth. The positive control (RenamedTwinSweep) must
+/// that every backend configuration *agrees*, which holds for
+/// ResourceLimit runs too, and a tight budget keeps the matrix fast at
+/// nightly depth. The positive control (RenamedTwinSweep) must
 /// actually converge to Equivalent, so it passes the big budget — rare
 /// seeds (first at 5128, nightly depth) need tens of thousands of
 /// iterations.
 core::CheckResult runCheck(const ElaborationResult &L,
-                           const ElaborationResult &R, size_t Jobs,
+                           const ElaborationResult &R,
                            const std::string &Backend,
                            size_t MaxIterations = 2000,
                            bool Certify = false) {
+  core::EngineConfig Cfg;
+  Cfg.Backend = Backend;
+  std::string Err;
+  std::unique_ptr<core::Engine> Engine = core::Engine::create(Cfg, &Err);
+  EXPECT_NE(Engine, nullptr) << Err;
+  if (!Engine)
+    return core::CheckResult();
   core::CheckOptions Options;
   Options.MaxIterations = MaxIterations;
-  Options.Jobs = Jobs;
-  Options.Backend = Backend;
+  Options.Solver = &Engine->solver();
   Options.RecordTrace = true;
   Options.Certify = Certify;
   return core::checkLanguageEquivalence(
@@ -206,7 +213,7 @@ TEST_P(RenamedTwinSweep, RenamedTwinIsEquivalent) {
       elaborateChecked(renameStates(P, "_r"), Seed, "renamed twin");
   ASSERT_TRUE(L.ok() && R.ok());
 
-  core::CheckResult Res = runCheck(L, R, 1, "bitblast", 50000);
+  core::CheckResult Res = runCheck(L, R, "bitblast", 50000);
   ASSERT_EQ(Res.V, core::Verdict::Equivalent)
       << "seed " << Seed << " verdict " << verdictName(Res.V) << "\n"
       << printSurface(P);
@@ -215,7 +222,7 @@ TEST_P(RenamedTwinSweep, RenamedTwinIsEquivalent) {
   // stream a certificate the engine-free verifier accepts — every
   // generated Equivalent pair carries its proof, nightly depth included.
   core::CheckResult Certified =
-      runCheck(L, R, 1, "bitblast", 50000, /*Certify=*/true);
+      runCheck(L, R, "bitblast", 50000, /*Certify=*/true);
   EXPECT_EQ(Certified.V, Res.V) << "seed " << Seed;
   EXPECT_EQ(Certified.Stats.Iterations, Res.Stats.Iterations)
       << "seed " << Seed;
@@ -231,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RenamedTwinSweep,
                          ::testing::Range(0, fuzzIters(15)));
 
 //===----------------------------------------------------------------------===//
-// Layer 3: differential fuzz across (jobs, backend) configurations.
+// Layer 3: differential fuzz across backend configurations.
 //===----------------------------------------------------------------------===//
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
@@ -246,26 +253,19 @@ TEST_P(DifferentialFuzz, AllConfigurationsAgreeOnMutantPairs) {
   ElaborationResult R = elaborateChecked(M, Seed, "mutant");
   ASSERT_TRUE(L.ok() && R.ok());
 
-  // The reference run: sequential, in-repo backend.
-  core::CheckResult Ref = runCheck(L, R, 1, "bitblast");
+  // The reference run: the in-repo backend.
+  core::CheckResult Ref = runCheck(L, R, "bitblast");
 
-  struct Config {
-    size_t Jobs;
-    std::string Backend;
-  };
-  std::vector<Config> Matrix = {{2, "bitblast"}};
+  std::vector<std::string> Matrix;
   std::string Shim = shimCommand();
-  if (!Shim.empty()) {
-    Matrix.push_back({1, "smtlib:" + Shim});
-    Matrix.push_back({2, "smtlib:" + Shim});
-  }
+  if (!Shim.empty())
+    Matrix.push_back("smtlib:" + Shim);
 
-  for (const Config &C : Matrix) {
-    core::CheckResult Res = runCheck(L, R, C.Jobs, C.Backend);
+  for (const std::string &Backend : Matrix) {
+    core::CheckResult Res = runCheck(L, R, Backend);
     bool Agrees = Res.V == Ref.V;
-    // The parallel engine's whole contract is a bit-identical decision
-    // stream, and backends may change performance but never answers —
-    // so the deterministic counters must match too, not just verdicts.
+    // Backends may change performance but never answers — so the
+    // deterministic counters must match too, not just verdicts.
     Agrees = Agrees && Res.Stats.Iterations == Ref.Stats.Iterations &&
              Res.Stats.Extends == Ref.Stats.Extends &&
              Res.Stats.Skips == Ref.Stats.Skips &&
@@ -276,12 +276,12 @@ TEST_P(DifferentialFuzz, AllConfigurationsAgreeOnMutantPairs) {
           dumpProgram(P, "generate_fail_" + std::to_string(Seed) + "_left");
       std::string RightPath =
           dumpProgram(M, "generate_fail_" + std::to_string(Seed) + "_right");
-      ADD_FAILURE() << "seed " << Seed << ": jobs=" << C.Jobs << " backend="
-                    << C.Backend << " returned " << verdictName(Res.V)
+      ADD_FAILURE() << "seed " << Seed << ": backend=" << Backend
+                    << " returned " << verdictName(Res.V)
                     << " (iters=" << Res.Stats.Iterations
                     << ", extends=" << Res.Stats.Extends
                     << ", skips=" << Res.Stats.Skips << "), reference "
-                    << "jobs=1 backend=bitblast returned "
+                    << "backend=bitblast returned "
                     << verdictName(Ref.V)
                     << " (iters=" << Ref.Stats.Iterations
                     << ", extends=" << Ref.Stats.Extends
@@ -296,7 +296,7 @@ TEST_P(DifferentialFuzz, AllConfigurationsAgreeOnMutantPairs) {
   // decision, and when the mutant happens to be equivalent the streamed
   // certificate must survive the engine-free verifier.
   core::CheckResult Certified =
-      runCheck(L, R, 1, "bitblast", 2000, /*Certify=*/true);
+      runCheck(L, R, "bitblast", 2000, /*Certify=*/true);
   EXPECT_EQ(Certified.V, Ref.V) << "seed " << Seed;
   EXPECT_EQ(Certified.Stats.Iterations, Ref.Stats.Iterations)
       << "seed " << Seed;

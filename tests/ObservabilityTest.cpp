@@ -10,11 +10,11 @@
 ///
 ///  * Passivity. Installing a TraceSink changes *nothing* the engine
 ///    decides: verdict, decision stream, certificate text and every
-///    deterministic stat are bit-identical traced vs. untraced, at
-///    Jobs = 1 and Jobs = 2, across the registry case studies.
+///    deterministic stat are bit-identical traced vs. untraced, across
+///    the registry case studies, with and without goal batching.
 ///  * The emitted trace is valid Chrome trace_event JSON with balanced
-///    begin/end spans per thread and named worker tracks.
-///  * MetricsSnapshot behaves like SolverStats::merge: counters are
+///    begin/end spans per thread.
+///  * MetricsSnapshot: counters are
 ///    monotone across runs, merge is associative, gauges are last-wins
 ///    with maxed peaks.
 ///  * The serve `metrics` op round-trips through the line-JSON protocol
@@ -124,15 +124,10 @@ struct CertifiedRun {
 
 /// One certified engine check; serializes the certificate on Equivalent so
 /// bit-identity is pinned over the full artifact, proof log included.
-/// Certify = false runs the same check without proof capture — the only
-/// mode in which the parallel engine pipelines (capture forces the
-/// barrier), so the pipelined-knob test needs it.
-CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs,
-                          bool Certify = true) {
+CertifiedRun runCertified(const CheckRequest &Req) {
   EngineConfig Cfg;
   Cfg.Backend = "bitblast";
-  Cfg.Jobs = Jobs;
-  Cfg.Certify = Certify;
+  Cfg.Certify = true;
   std::string Err;
   std::unique_ptr<Engine> E = Engine::create(Cfg, &Err);
   EXPECT_NE(E, nullptr) << Err;
@@ -140,7 +135,7 @@ CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs,
   if (!E)
     return Run;
   Run.Res = E->check(Req);
-  if (Certify && Run.Res.V == Verdict::Equivalent) {
+  if (Run.Res.V == Verdict::Equivalent) {
     EXPECT_NE(Run.Res.Proof, nullptr);
     Run.CertText = serializeCertificate(Req.Left, Req.Right,
                                         Run.Res.Certificate,
@@ -160,25 +155,16 @@ struct SinkGuard {
 };
 
 /// Asserts A and B decided identically: verdict, decision stream,
-/// certificate, and the deterministic stat columns. SmtQueries and the
-/// certificate bytes are schedule-dependent at Jobs > 1 (work stealing
-/// moves goals between worker proof streams and changes which merge
-/// items re-query), so Sequential = false skips those two and compares
-/// everything the parallel engine guarantees deterministic.
+/// certificate bytes, and the deterministic stat columns.
 void expectDecisionIdentical(const std::string &Label, const CertifiedRun &A,
-                             const CertifiedRun &B, bool Sequential) {
+                             const CertifiedRun &B) {
   ASSERT_EQ(A.Res.V, B.Res.V) << Label;
   EXPECT_EQ(A.Res.FailureReason, B.Res.FailureReason) << Label;
   ASSERT_EQ(A.Res.Trace.size(), B.Res.Trace.size()) << Label;
   for (size_t I = 0; I < A.Res.Trace.size(); ++I)
     ASSERT_EQ(traceKey(A.Res.Trace[I]), traceKey(B.Res.Trace[I]))
         << Label << ": decision stream diverges at step " << I;
-  if (Sequential) {
-    EXPECT_EQ(A.CertText, B.CertText) << Label;
-  } else {
-    // Both sides must still *have* a certificate when equivalent.
-    EXPECT_EQ(A.CertText.empty(), B.CertText.empty()) << Label;
-  }
+  EXPECT_EQ(A.CertText, B.CertText) << Label;
   const CheckStats &SA = A.Res.Stats, &SB = B.Res.Stats;
   EXPECT_EQ(SA.Iterations, SB.Iterations) << Label;
   EXPECT_EQ(SA.Extends, SB.Extends) << Label;
@@ -189,9 +175,7 @@ void expectDecisionIdentical(const std::string &Label, const CertifiedRun &A,
   EXPECT_EQ(SA.FinalConjuncts, SB.FinalConjuncts) << Label;
   EXPECT_EQ(SA.PeakFrontier, SB.PeakFrontier) << Label;
   EXPECT_EQ(SA.FormulaNodes, SB.FormulaNodes) << Label;
-  if (Sequential) {
-    EXPECT_EQ(SA.SmtQueries, SB.SmtQueries) << Label;
-  }
+  EXPECT_EQ(SA.SmtQueries, SB.SmtQueries) << Label;
 }
 
 /// Parses a Chrome trace and checks structural validity: traceEvents is
@@ -234,23 +218,14 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     Options.RecordTrace = true;
     CheckRequest Req = registryRequest(Study, Options);
 
-    // Baseline: untraced, sequential. The parallel engine guarantees
-    // the decision stream and deterministic stats match this baseline
-    // for any job count (ParallelTest's pin); the proof-stream bytes
-    // are only deterministic sequentially, so the full certificate
-    // comparison happens on the jobs=1 leg.
-    CertifiedRun Baseline = runCertified(Req, 1);
+    CertifiedRun Baseline = runCertified(Req);
 
     // Traced runs share one sink across studies so the final trace also
     // exercises multi-run accumulation.
     {
       SinkGuard Guard(&Sink);
-      CertifiedRun Traced1 = runCertified(Req, 1);
-      expectDecisionIdentical(Study.Name + " jobs=1", Baseline, Traced1,
-                              /*Sequential=*/true);
-      CertifiedRun Traced2 = runCertified(Req, 2);
-      expectDecisionIdentical(Study.Name + " jobs=2", Baseline, Traced2,
-                              /*Sequential=*/false);
+      CertifiedRun Traced = runCertified(Req);
+      expectDecisionIdentical(Study.Name, Baseline, Traced);
     }
   }
   ASSERT_GT(Sink.eventCount(), 0u);
@@ -264,28 +239,15 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   ASSERT_TRUE(In.good());
   std::ostringstream Ss;
   Ss << In.rdbuf();
-  serve::Json Doc = parseBalancedTrace(Ss.str());
-
-  // Jobs = 2 runs must have named their worker tracks.
-  size_t WorkerTracks = 0;
-  for (const serve::Json &E : Doc.get("traceEvents").items()) {
-    if (E.getString("ph") == "M" &&
-        E.getString("name") == "thread_name" &&
-        E.get("args").getString("name").rfind("worker-", 0) == 0)
-      ++WorkerTracks;
-  }
-  EXPECT_GE(WorkerTracks, 1u);
+  parseBalancedTrace(Ss.str());
   std::remove(Path.c_str());
 }
 
-// Passivity at the scheduling knobs the trace exists to explain: the
-// pipelined merge (epoch.wait/epoch.merge spans) and the batched
-// entailment window (solver.batch spans) run extra instrumentation on
-// their hot paths, so each gets its own traced-vs-untraced pin rather
-// than inheriting the default-knob test above. Small chunks force many
-// epochs (maximum span traffic); GoalBatch = 8 exercises the windowed
-// session sharing.
-TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
+// Passivity at the batching knob: the batched entailment window poses
+// goals ahead of their turn through shared session calls, so it gets its
+// own traced-vs-untraced pin rather than inheriting the default-knob
+// test above.
+TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
@@ -298,33 +260,20 @@ TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
     Options.MaxIterations = 2000;
     Options.RecordTrace = true;
     Options.GoalBatch = 8;
-    Options.Chunk = 8;
-    EXPECT_TRUE(Options.Pipeline); // pipelining is the default
     CheckRequest Req = registryRequest(Study, Options);
 
-    // Certified legs run the barrier scheduler (proof capture forces
-    // it); the uncertified pair is the one that actually pipelines.
-    CertifiedRun Baseline = runCertified(Req, 1);
-    CertifiedRun Plain = runCertified(Req, 1, /*Certify=*/false);
+    CertifiedRun Baseline = runCertified(Req);
     {
       SinkGuard Guard(&Sink);
-      CertifiedRun Traced1 = runCertified(Req, 1);
-      expectDecisionIdentical(Study.Name + " batched jobs=1", Baseline,
-                              Traced1, /*Sequential=*/true);
-      CertifiedRun Traced2 = runCertified(Req, 2);
-      expectDecisionIdentical(Study.Name + " batched barrier jobs=2",
-                              Baseline, Traced2, /*Sequential=*/false);
-      CertifiedRun TracedP = runCertified(Req, 2, /*Certify=*/false);
-      expectDecisionIdentical(Study.Name + " pipelined+batched jobs=2",
-                              Plain, TracedP, /*Sequential=*/false);
+      CertifiedRun Traced = runCertified(Req);
+      expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
     }
   }
   ASSERT_GT(Sink.eventCount(), 0u);
 
-  // The pipelined epochs must actually have hit the trace (the spans
-  // leapfrog-trace's pipelining report reads), and the accumulated file
-  // must stay structurally valid.
-  std::string Path = ::testing::TempDir() + "obs_pipelined_trace.json";
+  // Every check must have hit the trace, and the accumulated file must
+  // stay structurally valid.
+  std::string Path = ::testing::TempDir() + "obs_batched_trace.json";
   std::string Err;
   ASSERT_TRUE(Sink.writeChromeJson(Path, &Err)) << Err;
   std::ifstream In(Path, std::ios::binary);
@@ -332,17 +281,11 @@ TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
   std::ostringstream Ss;
   Ss << In.rdbuf();
   serve::Json Doc = parseBalancedTrace(Ss.str());
-  size_t WaitSpans = 0, MergeSpans = 0;
-  for (const serve::Json &E : Doc.get("traceEvents").items()) {
-    if (E.getString("ph") != "B")
-      continue;
-    if (E.getString("name") == "epoch.wait")
-      ++WaitSpans;
-    else if (E.getString("name") == "epoch.merge")
-      ++MergeSpans;
-  }
-  EXPECT_GT(WaitSpans, 0u);
-  EXPECT_GT(MergeSpans, 0u);
+  size_t CheckSpans = 0;
+  for (const serve::Json &E : Doc.get("traceEvents").items())
+    if (E.getString("ph") == "B" && E.getString("name") == "check.run")
+      ++CheckSpans;
+  EXPECT_GT(CheckSpans, 0u);
   std::remove(Path.c_str());
 }
 

@@ -1,37 +1,28 @@
-//===- SchedulerTest.cpp - Scheduler-adversarial pipelining battery -------===//
+//===- SchedulerTest.cpp - Scheduler-adversarial batching battery ---------===//
 //
 // Part of leapfrog-cc, a C++ reproduction of "Leapfrog: Certified Equivalence
 // for Protocol Parsers" (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// The pipelined engine makes three promises the barrier engine never had
-// to: (1) a generation's merge re-derives the exact sequential decision
-// stream while the *next* generation is already being decided against a
-// frozen premise prefix; (2) entailment-query batching folds adjacent
-// same-template-pair goals into shared solver round-trips without moving
-// a single decision; (3) every schedule knob (Jobs, Pipeline, Chunk,
-// GoalBatch) is performance-only. This battery attacks those promises:
+// Entailment-query batching (CheckOptions::GoalBatch) folds upcoming
+// same-template-pair goals into shared solver round-trips and answers
+// some goals ahead of their turn. It promises not to move a single
+// decision. This battery attacks that promise:
 //
-//  - a pipelined-vs-sequential differential over every registry study
-//    AND every corpus pair at jobs ∈ {2, 4}, comparing verdict, failure
-//    text, stats, the full decision stream, the relation conjunct by
-//    conjunct, and the *serialized certificate bytes* (relation
-//    certificates are schedule-independent by construction; proof-slice
-//    streams at jobs ≥ 2 are legitimately schedule-dependent and are
-//    serialized separately, so they are not compared here);
-//
-//  - a throttled-worker run that provably overlaps merge and decide —
-//    and pins that the parallel.overlap_micros counter sees it while
-//    barrier mode records the same work as pure stall;
+//  - a batched-vs-classic differential over every registry study AND
+//    every corpus pair, comparing verdict, failure text, stats, the full
+//    decision stream, the relation conjunct by conjunct, and the
+//    *serialized certificate bytes*;
 //
 //  - batched-vs-unbatched differentials pinning that RoundTrips (the
 //    physical solve-call counter) strictly drops while every decision
 //    byte stays put — on the in-repo bit-blaster and, for the ≥30%
 //    acceptance bar, on the external SMT-LIB shim;
 //
-//  - a seeded schedule-perturbation fuzz over the full knob product,
-//    scaled 100x by the nightly LEAPFROG_FUZZ_ITERS setting.
+//  - a seeded schedule-perturbation fuzz over batch sizes and racing
+//    portfolio backends, scaled 100x by the nightly LEAPFROG_FUZZ_ITERS
+//    setting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,21 +32,17 @@
 #include "core/FrontierKey.h"
 #include "frontend/Elaborate.h"
 #include "frontend/Text.h"
-#include "obs/Metrics.h"
 #include "parsers/CaseStudies.h"
 #include "smt/SmtLibSolver.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace leapfrog;
@@ -64,7 +51,7 @@ using namespace leapfrog::core;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Shared comparison helpers (ParallelTest's idiom, plus certificate bytes)
+// Shared comparison helpers
 //===----------------------------------------------------------------------===//
 
 std::string traceKey(const TraceStep &T) {
@@ -76,8 +63,8 @@ std::string traceKey(const TraceStep &T) {
 }
 
 /// Everything that must be bit-identical across schedules. SmtQueries and
-/// the times are deliberately absent: batching and pipelining change how
-/// many physical queries answer the same decisions.
+/// the times are deliberately absent: batching changes how many physical
+/// queries answer the same decisions.
 void expectIdenticalDecisions(const std::string &Name, const CheckResult &A,
                               const CheckResult &B) {
   EXPECT_EQ(A.V, B.V) << Name << ": " << A.FailureReason << " vs "
@@ -103,19 +90,14 @@ void expectIdenticalDecisions(const std::string &Name, const CheckResult &A,
         << Name << ": relation diverges at conjunct " << I;
 }
 
-/// The serialized relation certificate — byte-for-byte. Proof streams are
-/// deliberately not captured here (jobs ≥ 2 slices are schedule-dependent
-/// and concatenated in worker order); the relation text is the
-/// schedule-independent artifact.
+/// The serialized relation certificate — byte-for-byte (the relation text;
+/// proof streams are not captured here).
 std::string certBytes(const p4a::Automaton &L, const p4a::Automaton &R,
                       const CheckResult &Res) {
   return serializeCertificate(L, R, Res.Certificate, nullptr, "");
 }
 
 struct RunConfig {
-  size_t Jobs = 1;
-  bool Pipeline = true;
-  size_t Chunk = 0;
   size_t GoalBatch = 1;
   size_t MaxIterations = 300;
 };
@@ -126,9 +108,6 @@ CheckResult runPair(const p4a::Automaton &L, const std::string &LS,
   CheckOptions O;
   O.MaxIterations = C.MaxIterations;
   O.Solver = &Solver;
-  O.Jobs = C.Jobs;
-  O.Pipeline = C.Pipeline;
-  O.Chunk = C.Chunk;
   O.GoalBatch = C.GoalBatch;
   O.RecordTrace = true;
   return checkLanguageEquivalence(L, LS, R, RS, O);
@@ -140,12 +119,12 @@ CheckResult runStudy(const parsers::CaseStudy &S, smt::SmtSolver &Solver,
 }
 
 //===----------------------------------------------------------------------===//
-// Registry differential: pipelined, barrier, batched — all vs sequential
+// Registry differential: batched vs one goal per query
 //===----------------------------------------------------------------------===//
 
-class PipelinedDifferential : public ::testing::TestWithParam<size_t> {};
+class BatchedDifferential : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(PipelinedDifferential, SchedulesMatchSequential) {
+TEST_P(BatchedDifferential, BatchedMatchesClassic) {
   std::vector<parsers::CaseStudy> Studies = parsers::allCaseStudies();
   ASSERT_LT(GetParam(), Studies.size());
   const parsers::CaseStudy &Study = Studies[GetParam()];
@@ -157,33 +136,22 @@ TEST_P(PipelinedDifferential, SchedulesMatchSequential) {
   if (Baseline.equivalent())
     BaselineCert = certBytes(Study.Left, Study.Right, Baseline);
 
-  struct Variant {
-    const char *Tag;
-    RunConfig C;
-  } Variants[] = {
-      {"jobs=2 pipelined", {2, true, 0, 1, 300}},
-      {"jobs=4 pipelined", {4, true, 0, 1, 300}},
-      {"jobs=2 barrier", {2, false, 0, 1, 300}},
-      {"jobs=2 pipelined chunk=3", {2, true, 3, 1, 300}},
-      {"jobs=2 pipelined goal-batch=8", {2, true, 0, 8, 300}},
-  };
-  for (const Variant &V : Variants) {
-    SCOPED_TRACE(V.Tag);
-    smt::BitBlastSolver Solver;
-    CheckResult Res = runStudy(Study, Solver, V.C);
-    expectIdenticalDecisions(Study.Name, Baseline, Res);
-    if (Baseline.equivalent()) {
-      EXPECT_EQ(BaselineCert, certBytes(Study.Left, Study.Right, Res))
-          << Study.Name << ": certificate bytes diverge (" << V.Tag << ")";
-    }
+  RunConfig Batched;
+  Batched.GoalBatch = 8;
+  smt::BitBlastSolver Solver;
+  CheckResult Res = runStudy(Study, Solver, Batched);
+  expectIdenticalDecisions(Study.Name, Baseline, Res);
+  if (Baseline.equivalent()) {
+    EXPECT_EQ(BaselineCert, certBytes(Study.Left, Study.Right, Res))
+        << Study.Name << ": certificate bytes diverge (goal-batch=8)";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Registry, PipelinedDifferential,
+INSTANTIATE_TEST_SUITE_P(Registry, BatchedDifferential,
                          ::testing::Range<size_t>(0, 10));
 
 //===----------------------------------------------------------------------===//
-// Corpus differential: every .lfp pair through the pipelined schedules
+// Corpus differential: every .lfp pair, batched vs one goal per query
 //===----------------------------------------------------------------------===//
 
 std::string corpusDir() {
@@ -249,7 +217,7 @@ std::vector<CorpusPair> corpusPairs() {
 
 class CorpusScheduling : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(CorpusScheduling, PipelinedMatchesSequential) {
+TEST_P(CorpusScheduling, BatchedMatchesClassic) {
   std::string Dir = corpusDir();
   if (Dir.empty())
     GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
@@ -269,21 +237,15 @@ TEST_P(CorpusScheduling, PipelinedMatchesSequential) {
   if (Baseline.equivalent())
     BaselineCert = certBytes(L.Aut, R.Aut, Baseline);
 
-  for (size_t Jobs : {2u, 4u}) {
-    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
-    RunConfig C;
-    C.Jobs = Jobs;
-    C.MaxIterations = P.MaxIterations;
-    // Batch on the wider run so the corpus also exercises the parallel
-    // unit-batching path, not just the plain pipelined one.
-    C.GoalBatch = Jobs == 4 ? 4 : 1;
-    smt::BitBlastSolver Solver;
-    CheckResult Res = runPair(L.Aut, L.Entry, R.Aut, R.Entry, Solver, C);
-    expectIdenticalDecisions(P.Name, Baseline, Res);
-    if (Baseline.equivalent()) {
-      EXPECT_EQ(BaselineCert, certBytes(L.Aut, R.Aut, Res))
-          << P.Name << ": certificate bytes diverge at jobs=" << Jobs;
-    }
+  RunConfig C;
+  C.MaxIterations = P.MaxIterations;
+  C.GoalBatch = 4;
+  smt::BitBlastSolver Solver;
+  CheckResult Res = runPair(L.Aut, L.Entry, R.Aut, R.Entry, Solver, C);
+  expectIdenticalDecisions(P.Name, Baseline, Res);
+  if (Baseline.equivalent()) {
+    EXPECT_EQ(BaselineCert, certBytes(L.Aut, R.Aut, Res))
+        << P.Name << ": certificate bytes diverge at goal-batch=4";
   }
 }
 
@@ -292,123 +254,6 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusScheduling,
                          [](const ::testing::TestParamInfo<size_t> &Info) {
                            return corpusPairs()[Info.param].Name;
                          });
-
-//===----------------------------------------------------------------------===//
-// Merge/decide overlap: throttled workers force the pipeline to show
-//===----------------------------------------------------------------------===//
-
-/// Wraps a session so every query dwells long enough for the merge of the
-/// previous chunk to run entirely inside the epoch. The shared budget
-/// bounds total added latency.
-class ThrottledSession : public smt::SmtSolver::IncrementalSession {
-public:
-  ThrottledSession(std::unique_ptr<IncrementalSession> Inner,
-                   std::atomic<int> *Budget)
-      : Inner(std::move(Inner)), Budget(Budget) {}
-
-  void assertPremise(const smt::BvFormulaRef &F) override {
-    Inner->assertPremise(F);
-  }
-  smt::SatResult checkSatUnderPremises(const smt::BvFormulaRef &Goal,
-                                       smt::Model *M) override {
-    dwell();
-    return Inner->checkSatUnderPremises(Goal, M);
-  }
-  void checkSatBatch(const std::vector<smt::BvFormulaRef> &Goals,
-                     std::vector<smt::SatResult> &Out) override {
-    dwell();
-    Inner->checkSatBatch(Goals, Out);
-  }
-
-private:
-  void dwell() {
-    if (Budget->fetch_add(-1) > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  std::unique_ptr<IncrementalSession> Inner;
-  std::atomic<int> *Budget;
-};
-
-/// A bit-blaster whose *workers* are slow: the primary (merge-side)
-/// sessions run at full speed, so any overlap the counters report really
-/// is merge work racing decide work, not a throttled merge.
-class SlowWorkerSolver : public smt::BitBlastSolver {
-public:
-  explicit SlowWorkerSolver(std::atomic<int> *Budget, bool Throttled = false)
-      : Budget(Budget), Throttled(Throttled) {}
-
-  std::unique_ptr<IncrementalSession>
-  openSession(const smt::SessionLimits &Limits) override {
-    auto Inner = smt::BitBlastSolver::openSession(Limits);
-    if (!Throttled)
-      return Inner;
-    return std::make_unique<ThrottledSession>(std::move(Inner), Budget);
-  }
-  using smt::SmtSolver::openSession;
-
-  std::unique_ptr<smt::SmtSolver> spawnWorker() override {
-    return std::make_unique<SlowWorkerSolver>(Budget, /*Throttled=*/true);
-  }
-
-private:
-  std::atomic<int> *Budget;
-  bool Throttled;
-};
-
-TEST(PipelineOverlap, MergeRunsWhileNextChunkDecides) {
-  std::vector<parsers::CaseStudy> Studies = parsers::allCaseStudies();
-  const parsers::CaseStudy &Study = Studies[3]; // Speculative loop.
-
-  smt::BitBlastSolver Plain;
-  RunConfig Seq;
-  CheckResult Baseline = runStudy(Study, Plain, Seq);
-
-  // Pipelined: chunk size 1 maximizes chunk count, the 500µs dwell keeps
-  // every next-chunk epoch in flight across the previous chunk's merge,
-  // and the overlap counter must see it.
-  uint64_t Overlap0 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Epochs0 = obs::metrics().snapshot().counter("parallel.epochs");
-  std::atomic<int> Budget{2000};
-  {
-    SlowWorkerSolver S(&Budget);
-    RunConfig C;
-    C.Jobs = 2;
-    C.Chunk = 1;
-    CheckResult Res = runStudy(Study, S, C);
-    expectIdenticalDecisions(Study.Name, Baseline, Res);
-  }
-  uint64_t Overlap1 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Epochs1 = obs::metrics().snapshot().counter("parallel.epochs");
-  EXPECT_GT(Epochs1, Epochs0) << "pipelined run posted no epochs";
-  EXPECT_GT(Overlap1, Overlap0)
-      << "merge and decide never overlapped under a throttled worker — "
-         "the skip-ahead launch is not happening";
-
-  // Barrier mode on the same workload: merge time is pure stall, the
-  // overlap counter must not move (the pin that barrier accounting stays
-  // honest rather than flattering).
-  uint64_t Stall0 =
-      obs::metrics().snapshot().counter("parallel.merge_stall_micros");
-  Budget.store(2000);
-  {
-    SlowWorkerSolver S(&Budget);
-    RunConfig C;
-    C.Jobs = 2;
-    C.Chunk = 1;
-    C.Pipeline = false;
-    CheckResult Res = runStudy(Study, S, C);
-    expectIdenticalDecisions(Study.Name, Baseline, Res);
-  }
-  uint64_t Overlap2 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Stall1 =
-      obs::metrics().snapshot().counter("parallel.merge_stall_micros");
-  EXPECT_EQ(Overlap2, Overlap1)
-      << "barrier mode credited itself with overlap";
-  EXPECT_GE(Stall1, Stall0);
-}
 
 //===----------------------------------------------------------------------===//
 // Batching: identical decisions, strictly fewer physical round-trips
@@ -430,26 +275,6 @@ TEST(BatchingDifferential, WindowedMatchesClassicAndCutsRoundTrips) {
   // The aggregate pin: batching may locally re-query (a stale frozen
   // answer), but across the registry the shared round-trips must win
   // outright.
-  RecordProperty("round_trips_unbatched", std::to_string(Unbatched));
-  RecordProperty("round_trips_batched", std::to_string(Batched));
-  EXPECT_LT(Batched, Unbatched);
-}
-
-TEST(BatchingDifferential, ParallelBatchingMatchesAndCutsRoundTrips) {
-  uint64_t Unbatched = 0, Batched = 0;
-  for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
-    smt::BitBlastSolver A, B;
-    RunConfig Plain;
-    Plain.Jobs = 2;
-    CheckResult ResA = runStudy(Study, A, Plain);
-    RunConfig Unit;
-    Unit.Jobs = 2;
-    Unit.GoalBatch = 8;
-    CheckResult ResB = runStudy(Study, B, Unit);
-    expectIdenticalDecisions(Study.Name, ResA, ResB);
-    Unbatched += A.stats().RoundTrips;
-    Batched += B.stats().RoundTrips;
-  }
   RecordProperty("round_trips_unbatched", std::to_string(Unbatched));
   RecordProperty("round_trips_batched", std::to_string(Batched));
   EXPECT_LT(Batched, Unbatched);
@@ -558,12 +383,9 @@ TEST(ScheduleFuzz, PerturbedSchedulesMatchSequential) {
 
     RunConfig C;
     C.MaxIterations = Cap;
-    C.Jobs = 1 + R.below(4);        // 1..4 (1 exercises window batching).
-    C.Pipeline = R.below(2) == 0;   // Pipelined and barrier alike.
-    C.Chunk = 1 + R.below(40);      // Adversarial epoch boundaries.
-    C.GoalBatch = 1 + R.below(8);   // 1..8 goals per shared round-trip.
+    C.GoalBatch = 1 + R.below(8); // 1..8 goals per shared round-trip.
     // Every fourth schedule also swaps in a portfolio backend — racing
-    // legs must be as decision-invisible as the schedule knobs. The shim
+    // legs must be as decision-invisible as batching. The shim
     // leg joins when the env provides it (the nightly fuzz entry does).
     std::string Backend;
     if (R.below(4) == 0) {
@@ -573,9 +395,6 @@ TEST(ScheduleFuzz, PerturbedSchedulesMatchSequential) {
                     : std::string("portfolio:bitblast,bitblast");
     }
     SCOPED_TRACE("iter " + std::to_string(I) + ": " + Study.Name +
-                 " jobs=" + std::to_string(C.Jobs) +
-                 " pipeline=" + std::to_string(C.Pipeline) +
-                 " chunk=" + std::to_string(C.Chunk) +
                  " goal-batch=" + std::to_string(C.GoalBatch) +
                  (Backend.empty() ? "" : " backend=" + Backend));
     std::unique_ptr<smt::SmtSolver> Racing;

@@ -12,12 +12,15 @@
 //    with a *forced* fingerprint collision (equal 128-bit hash, distinct
 //    canonical text): the collision must read as a miss, not a hit.
 //  * core::Engine — structured rejection of unresolvable backend specs
-//    (construction AND the checkWithSpec inline path), warm per-worker
-//    solver reuse: N requests through a Jobs=2 engine over the external
-//    shim leave exactly one solver process per worker.
+//    (and of uncertifiable backends on the checkWithSpec path), warm
+//    solver reuse: N requests through an engine over the external shim
+//    leave exactly one solver process.
 //  * serve::CheckService — cache hits bit-identical to the cold check,
 //    concurrent submissions of the same pair computing exactly once,
 //    budget clamping keying on effective options, queue-full rejection.
+//  * Lanes — two clients checking different corpus pairs at the same
+//    time on a two-lane service get records bit-identical to a one-lane
+//    service's: the only place two checks run on two threads at once.
 //  * serve::Server — the JSON protocol as a function (handleLine), plus
 //    one AF_UNIX end-to-end with a real client socket.
 //  * The corpus sweep: every bench_corpus pair submitted cold then warm;
@@ -273,7 +276,7 @@ TEST(ResultCache, CollidingEntriesCoexist) {
   EXPECT_EQ(HitB->Result.V, core::Verdict::NotEquivalent);
 }
 
-TEST(ResultCache, KeySeparatesOptionsButNotJobs) {
+TEST(ResultCache, KeySeparatesOptionsButNotSolver) {
   core::CheckRequest Req = requestFor(LfpA, LfpB);
   serve::CacheKey Base = serve::makeCacheKey(Req);
 
@@ -285,17 +288,17 @@ TEST(ResultCache, KeySeparatesOptionsButNotJobs) {
   Ablated.Options.UseLeaps = false;
   EXPECT_NE(serve::makeCacheKey(Ablated).Canonical, Base.Canonical);
 
-  // Jobs and Backend change schedules and solvers, never verdicts or
-  // deterministic stats — they must NOT split the key.
-  core::CheckRequest Parallel = requestFor(LfpA, LfpB);
-  Parallel.Options.Jobs = 4;
-  Parallel.Options.Backend = "crosscheck";
-  EXPECT_EQ(serve::makeCacheKey(Parallel).Canonical, Base.Canonical);
-  EXPECT_EQ(serve::makeCacheKey(Parallel).FP, Base.FP);
+  // The solver changes performance, never verdicts or deterministic
+  // stats — it must NOT split the key.
+  smt::BitBlastSolver Other;
+  core::CheckRequest OtherSolver = requestFor(LfpA, LfpB);
+  OtherSolver.Options.Solver = &Other;
+  EXPECT_EQ(serve::makeCacheKey(OtherSolver).Canonical, Base.Canonical);
+  EXPECT_EQ(serve::makeCacheKey(OtherSolver).FP, Base.FP);
 }
 
 //===----------------------------------------------------------------------===//
-// Engine: structured rejection + warm workers.
+// Engine: structured rejection + a warm backend.
 //===----------------------------------------------------------------------===//
 
 TEST(Engine, UnresolvableBackendIsAStructuredError) {
@@ -306,16 +309,20 @@ TEST(Engine, UnresolvableBackendIsAStructuredError) {
   EXPECT_NE(Err.find("quantum-annealer"), std::string::npos) << Err;
 }
 
-TEST(Engine, CheckWithSpecRejectsBadBackendInline) {
-  // The one-shot path must reject the same way the engine does — not
-  // warn on stderr and silently run bitblast (the pre-redesign
-  // behavior).
+TEST(Engine, CheckWithSpecRejectsUncertifiableSolverInline) {
+  // The one-shot path rejects a request it cannot honor with the same
+  // structured BadRequest — here, proof capture on a backend that has
+  // none — instead of returning an uncertified verdict.
+  smt::SmtLibConfig Ext;
+  Ext.Argv = {"leapfrog-no-such-solver"};
+  smt::SmtLibSolver External(Ext);
   core::CheckRequest Req = requestFor(LfpA, LfpB);
-  Req.Options.Backend = "quantum-annealer";
+  Req.Options.Solver = &External;
+  Req.Options.Certify = true;
   core::CheckResult Res =
       core::checkWithSpec(Req.Left, Req.Right, Req.Spec, Req.Options);
   EXPECT_EQ(Res.V, core::Verdict::BadRequest);
-  EXPECT_NE(Res.FailureReason.find("quantum-annealer"), std::string::npos)
+  EXPECT_NE(Res.FailureReason.find("cannot capture"), std::string::npos)
       << Res.FailureReason;
   EXPECT_EQ(Res.Stats.SmtQueries, 0u) << "the search must never have run";
 }
@@ -341,21 +348,20 @@ TEST(Engine, MatchesOneShotCheckerBitForBit) {
             Cold.Certificate.str(Req.Left, Req.Right));
 }
 
-TEST(Engine, WarmWorkersSpawnOneSolverProcessEach) {
+TEST(Engine, WarmBackendSpawnsOneSolverProcess) {
   std::string Shim = shimPath();
   if (Shim.empty())
     GTEST_SKIP() << "LEAPFROG_SMTLIB_SHIM unset (run under ctest)";
 
   core::EngineConfig Cfg;
   Cfg.Backend = "smtlib:" + Shim;
-  Cfg.Jobs = 2;
   std::string Err;
   std::unique_ptr<core::Engine> Engine = core::Engine::create(Cfg, &Err);
   ASSERT_NE(Engine, nullptr) << Err;
 
-  // Three different requests through the same engine: the per-worker
-  // backends (and their external processes) must be spawned once and
-  // reused, not respawned per request.
+  // Three different requests through the same engine: the backend (and
+  // its external process) must be spawned once and reused, not
+  // respawned per request.
   core::CheckResult R1 = Engine->check(requestFor(LfpA, LfpB));
   core::CheckResult R2 = Engine->check(requestFor(LfpA, LfpBug));
   core::CheckResult R3 = Engine->check(requestFor(LfpB, LfpBug));
@@ -363,15 +369,12 @@ TEST(Engine, WarmWorkersSpawnOneSolverProcessEach) {
   EXPECT_EQ(R2.V, core::Verdict::NotEquivalent);
   EXPECT_EQ(R3.V, core::Verdict::NotEquivalent);
 
-  ASSERT_EQ(Engine->warmWorkerCount(), 2u);
-  for (size_t W = 0; W < Engine->warmWorkerCount(); ++W) {
-    auto *Ext = dynamic_cast<smt::SmtLibSolver *>(Engine->warmWorker(W));
-    ASSERT_NE(Ext, nullptr) << "worker " << W;
-    EXPECT_EQ(size_t(Ext->extStats().Spawns), 1u)
-        << "worker " << W << " respawned its solver process";
-    EXPECT_GT(size_t(Ext->extStats().ExternalQueries), 0u)
-        << "worker " << W << " never reached the external solver";
-  }
+  auto *Ext = dynamic_cast<smt::SmtLibSolver *>(&Engine->solver());
+  ASSERT_NE(Ext, nullptr);
+  EXPECT_EQ(size_t(Ext->extStats().Spawns), 1u)
+      << "the engine respawned its solver process";
+  EXPECT_GT(size_t(Ext->extStats().ExternalQueries), 0u)
+      << "the engine never reached the external solver";
 }
 
 //===----------------------------------------------------------------------===//
@@ -846,6 +849,98 @@ TEST(CorpusSweep, EveryPairHitsWarmWithIdenticalResults) {
   EXPECT_EQ(S.Computed, Pairs - Duplicates);
   EXPECT_EQ(S.Cache.Hits, Pairs + Duplicates);
   EXPECT_EQ(S.Cache.Collisions, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Lanes: two checks on two threads at once.
+//===----------------------------------------------------------------------===//
+
+/// A check response with the fields that may differ between two runs of
+/// the same request removed: the cache disposition and the clocks. What
+/// is left — verdict, key fingerprint, deterministic stats, failure text,
+/// certificate key — must be bit-identical however the service is laned.
+std::string stableRecord(const std::string &Line) {
+  serve::Json R;
+  std::string Err;
+  EXPECT_TRUE(serve::Json::parse(Line, R, &Err)) << Err;
+  serve::Json Out = serve::Json::object();
+  for (const auto &KV : R.fields()) {
+    if (KV.first == "cache" || KV.first == "micros")
+      continue;
+    if (KV.first != "stats") {
+      Out.set(KV.first, KV.second);
+      continue;
+    }
+    serve::Json Stats = serve::Json::object();
+    for (const auto &Stat : KV.second.fields())
+      if (Stat.first != "wall_micros" && Stat.first != "solver_micros")
+        Stats.set(Stat.first, Stat.second);
+    Out.set("stats", Stats);
+  }
+  return Out.serialize();
+}
+
+TEST(Lanes, ConcurrentClientsMatchOneLaneRecords) {
+  std::string Dir = corpusDir();
+  if (Dir.empty())
+    GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
+
+  // Two clients, each with its own corpus pairs (equivalent and refuted
+  // alike), so the two lanes run different checks at the same time.
+  const std::vector<std::pair<const char *, const char *>> Client[2] = {
+      {{"tunnel.lfp", "tunnel_opt.lfp"},
+       {"ipv6_chain.lfp", "ipv6_chain_bug.lfp"},
+       {"quic_varint.lfp", "quic_varint_opt.lfp"},
+       {"state_rearrangement_left.lfp", "state_rearrangement_right.lfp"}},
+      {{"vlan_qinq.lfp", "vlan_qinq_opt.lfp"},
+       {"tunnel.lfp", "tunnel_bug.lfp"},
+       {"ipv6_chain.lfp", "ipv6_chain_opt.lfp"},
+       {"header_initialization_left.lfp",
+        "header_initialization_right.lfp"}},
+  };
+  std::vector<std::string> Lines[2];
+  for (size_t C = 0; C < 2; ++C)
+    for (const auto &Pair : Client[C]) {
+      std::string Left, Right;
+      ASSERT_TRUE(readFile(Dir + "/" + Pair.first, Left)) << Pair.first;
+      ASSERT_TRUE(readFile(Dir + "/" + Pair.second, Right)) << Pair.second;
+      serve::Json Req = serve::Json::object();
+      Req.set("op", serve::Json::str("check"));
+      Req.set("left", serve::Json::str(Left));
+      Req.set("right", serve::Json::str(Right));
+      Lines[C].push_back(Req.serialize());
+    }
+
+  serve::ServiceConfig Laned = basicConfig();
+  Laned.Lanes = 2;
+  std::string Err;
+  auto Two = serve::Server::create(Laned, &Err);
+  ASSERT_NE(Two, nullptr) << Err;
+  std::vector<std::string> Records[2];
+  std::atomic<int> Ready{0};
+  auto RunClient = [&](size_t C) {
+    // Start both clients together so their first checks overlap.
+    ++Ready;
+    while (Ready.load() < 2)
+      std::this_thread::yield();
+    for (const std::string &Line : Lines[C])
+      Records[C].push_back(Two->handleLine(Line));
+  };
+  std::thread Second(RunClient, 1);
+  RunClient(0);
+  Second.join();
+
+  auto One = basicServer();
+  ASSERT_NE(One, nullptr);
+  for (size_t C = 0; C < 2; ++C) {
+    ASSERT_EQ(Records[C].size(), Lines[C].size());
+    for (size_t I = 0; I < Lines[C].size(); ++I) {
+      std::string Got = stableRecord(Records[C][I]);
+      EXPECT_NE(Got.find("\"ok\":true"), std::string::npos) << Got;
+      EXPECT_EQ(Got, stableRecord(One->handleLine(Lines[C][I])))
+          << "client " << C << " request " << I;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,8 @@
 // handing a Leapfrog proof term to the Coq kernel (§6.4). This binary
 // links ONLY cert/CertFormat, cert/CertVerify and support/Compress (the
 // build enforces it: no leapfrog library target in its link line), so
-// accepting a certificate never depends on the solver, checker or
-// parallel engine that produced it.
+// accepting a certificate never depends on the solver or checker that
+// produced it.
 //
 //   leapfrog-certcheck [options] [file]
 //

@@ -73,26 +73,11 @@ void usage() {
       "  --no-reach         disable template reachability pruning (§5.1)\n"
       "  --replay           re-validate the equivalence certificate after\n"
       "                     the search (independent of the search code)\n"
-      "  --jobs N           worker threads for the parallel frontier\n"
-      "                     engine (default 1 = the sequential loop).\n"
-      "                     Verdict, certificate and search trace are\n"
-      "                     identical for every N; only wall-clock\n"
-      "                     changes. Each worker gets its own solver\n"
-      "                     and session set (for external backends, its\n"
-      "                     own solver process)\n"
-      "  --no-pipeline      disable the skip-ahead merge: with --jobs,\n"
-      "                     the next chunk's parallel decide normally\n"
-      "                     overlaps the current chunk's sequential\n"
-      "                     merge; this restores the strict barrier.\n"
-      "                     Decisions are identical either way\n"
       "  --goal-batch N     share one solver round-trip across up to N\n"
       "                     same-guard entailment goals (default 1 =\n"
       "                     one query per goal). Answers are identical;\n"
       "                     only the round-trip count drops — see the\n"
       "                     round_trips stat and docs/SOLVERS.md\n"
-      "  --chunk N          conjuncts decided per epoch (default auto:\n"
-      "                     max(32, jobs*8)); exposed for scheduling\n"
-      "                     experiments, decisions do not depend on it\n"
       "\n"
       "backend options (see docs/SOLVERS.md):\n"
       "  --backend SPEC     solver backend: 'bitblast' (in-repo, the\n"
@@ -126,8 +111,7 @@ void usage() {
       "  --max-iterations N worklist budget (default 1048576)\n"
       "  --max-seconds N    wall-clock budget (default unlimited)\n"
       "\n"
-      "memory options (per incremental solver session; with --jobs,\n"
-      "per worker session):\n"
+      "memory options (per incremental solver session):\n"
       "  --max-learnts N    peak learned-clause bound; over it the\n"
       "                     session restarts from its premises\n"
       "  --max-arena-mb N   peak clause-arena bound (MB)\n"
@@ -149,10 +133,10 @@ void usage() {
       "                     snapshot) instead of the human-format block;\n"
       "                     the exit code is unchanged\n"
       "  --trace-out FILE   record a Chrome/Perfetto trace_event timeline\n"
-      "                     of the run (checker phases, per-worker solver\n"
-      "                     queries, epoch barriers) and write it to FILE;\n"
-      "                     open it at https://ui.perfetto.dev or summarize\n"
-      "                     it with leapfrog-trace. Purely observational:\n"
+      "                     of the run (checker phases, solver queries)\n"
+      "                     and write it to FILE; open it at\n"
+      "                     https://ui.perfetto.dev or summarize it\n"
+      "                     with leapfrog-trace. Purely observational:\n"
       "                     verdict, stats and certificate bytes are\n"
       "                     identical with or without it\n"
       "  --quiet            verdict only\n");
@@ -272,7 +256,7 @@ int main(int Argc, char **Argv) {
   bool JsonOut = false;
   const char *EmitCertPath = nullptr;
   const char *TraceOutPath = nullptr;
-  core::EngineConfig EngineCfg; // Backend spec + jobs: engine-level.
+  core::EngineConfig EngineCfg; // Backend spec: engine-level.
   int ExtTimeoutSec = 0;
   for (int I = FileMode ? 4 : 5; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -327,18 +311,10 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(Arg, "--max-arena-mb") && I + 1 < Argc) {
       Options.Limits.MaxArenaBytes =
           size_t(std::strtoull(Argv[++I], nullptr, 10)) * 1024u * 1024u;
-    } else if (!std::strcmp(Arg, "--jobs") && I + 1 < Argc) {
-      EngineCfg.Jobs = size_t(std::strtoull(Argv[++I], nullptr, 10));
-      if (EngineCfg.Jobs < 1)
-        EngineCfg.Jobs = 1;
-    } else if (!std::strcmp(Arg, "--no-pipeline")) {
-      Options.Pipeline = false;
     } else if (!std::strcmp(Arg, "--goal-batch") && I + 1 < Argc) {
       Options.GoalBatch = size_t(std::strtoull(Argv[++I], nullptr, 10));
       if (Options.GoalBatch < 1)
         Options.GoalBatch = 1;
-    } else if (!std::strcmp(Arg, "--chunk") && I + 1 < Argc) {
-      Options.Chunk = size_t(std::strtoull(Argv[++I], nullptr, 10));
     } else {
       std::fprintf(stderr, "leapfrog-cli: unknown option '%s'\n", Arg);
       usage();

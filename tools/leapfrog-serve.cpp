@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The daemon form of the checker: start once, keep the solver backend and
-// parallel workers warm, answer any number of equivalence requests over a
+// The daemon form of the checker: start once, keep the solver backend
+// warm, answer any number of equivalence requests over a
 // line-oriented JSON protocol (docs/SERVICE.md), and serve repeats from a
 // fingerprint-keyed result cache. Where leapfrog-cli pays backend
-// construction, worker spawning, and a full search per invocation, the
+// construction and a full search per invocation, the
 // service pays them once — the economics CI fleets and editor integrations
 // need.
 //
@@ -56,9 +56,9 @@ void usage() {
       "  --backend SPEC     'bitblast' (default), 'smtlib:CMD', or\n"
       "                     'crosscheck[:CMD]' — an unrecognized SPEC is\n"
       "                     a startup error, never a silent fallback\n"
-      "  --jobs N           parallel-engine workers per lane (default 1)\n"
-      "  --lanes N          concurrent checks (default 1); total warm\n"
-      "                     solver processes = lanes x jobs\n"
+      "  --lanes N          concurrent checks, one thread each (default\n"
+      "                     1); an external backend keeps one warm\n"
+      "                     solver process per lane\n"
       "\n"
       "certificates:\n"
       "  --certify          run every check with proof capture; the cert\n"
@@ -84,7 +84,7 @@ void usage() {
       "                     JSON line on stderr (0 = off, the default)\n"
       "  --trace-out FILE   record a Chrome/Perfetto trace_event timeline\n"
       "                     of the server's lifetime (requests, checker\n"
-      "                     phases, per-worker solver queries) and write\n"
+      "                     phases, solver queries) and write\n"
       "                     it to FILE on clean shutdown; the metrics op\n"
       "                     is independent of this flag and always\n"
       "                     available\n");
@@ -118,9 +118,6 @@ int main(int Argc, char **Argv) {
       Config.Engine.Backend = Argv[++I];
     } else if (!std::strncmp(Arg, "--backend=", 10)) {
       Config.Engine.Backend = Arg + 10;
-    } else if (!std::strcmp(Arg, "--jobs") && I + 1 < Argc &&
-               parseCount(Argv[++I], N)) {
-      Config.Engine.Jobs = size_t(N ? N : 1);
     } else if (!std::strcmp(Arg, "--lanes") && I + 1 < Argc &&
                parseCount(Argv[++I], N)) {
       Config.Lanes = size_t(N ? N : 1);

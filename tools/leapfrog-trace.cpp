@@ -226,48 +226,5 @@ int main(int Argc, char **Argv) {
                 (unsigned long long)SolveMicros.back());
   }
 
-  // Pipelining effectiveness (parallel engine traces only). The two
-  // scheduling modes leave distinct span signatures:
-  //
-  //   pipelined (default) — epoch.wait (merge thread blocked on the
-  //     in-flight decide) + epoch.merge (sequential replay, running
-  //     while the *next* chunk's decide is already in flight);
-  //   barrier (--no-pipeline) — epoch.parallel (launch + full wait)
-  //     + epoch.merge (workers idle throughout).
-  //
-  // On the merge thread's critical path only waits and merges appear,
-  // so merge/(merge+wait) is exactly the share of that path during
-  // which worker decide could proceed concurrently — the number that
-  // makes a merge-dominated (stall-bound) run visible from the trace
-  // file alone. In barrier mode no merge overlaps anything; the
-  // exposed merge total is printed as-is for comparison.
-  auto Total = [&](const char *Name) -> const SpanAgg * {
-    auto It = ByName.find(Name);
-    return It == ByName.end() ? nullptr : &It->second;
-  };
-  const SpanAgg *Decide = Total("epoch.parallel");
-  const SpanAgg *Merge = Total("epoch.merge");
-  const SpanAgg *Wait = Total("epoch.wait");
-  if (Merge && (Decide || Wait)) {
-    const uint64_t MergeUs = Merge->TotalMicros;
-    std::printf("\npipelining (parallel engine):\n");
-    if (Wait) {
-      const uint64_t WaitUs = Wait->TotalMicros;
-      std::printf("  pipelined: %llu epochs, decide-wait %.3f ms, "
-                  "merge %.3f ms\n",
-                  (unsigned long long)Wait->Count, double(WaitUs) / 1e3,
-                  double(MergeUs) / 1e3);
-      if (MergeUs + WaitUs > 0)
-        std::printf("  merge overlapped with in-flight decide: %.1f%% of "
-                    "the %.3f ms merge-thread critical path\n",
-                    double(MergeUs) / double(MergeUs + WaitUs) * 100.0,
-                    double(MergeUs + WaitUs) / 1e3);
-    } else {
-      std::printf("  barrier (--no-pipeline): %llu epochs, decide %.3f ms, "
-                  "merge %.3f ms fully exposed (workers idle)\n",
-                  (unsigned long long)Decide->Count,
-                  double(Decide->TotalMicros) / 1e3, double(MergeUs) / 1e3);
-    }
-  }
   return 0;
 }
