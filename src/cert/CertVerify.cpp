@@ -8,223 +8,22 @@
 #include "cert/CertVerify.h"
 
 #include "cert/CertFormat.h"
+#include "cert/StreamCheck.h"
 #include "support/Compress.h"
 
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace leapfrog;
 using namespace leapfrog::cert;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// An independent deletion-aware RUP checker over DIMACS literals. This is
-// certcheck's own propagation engine — written against the DRUP literature,
-// not shared with smt/ — so a bug in the solver's checker cannot also hide
-// here. Literals are nonzero ints; variable v is |l|, sign is polarity.
-//===----------------------------------------------------------------------===//
-
-class RupDb {
-public:
-  bool RootConflict = false;
-
-  void reset() {
-    Assign.clear();
-    Clauses.clear();
-    Watch.clear();
-    Trail.clear();
-    Head = 0;
-    RootConflict = false;
-    ByKey.clear();
-  }
-
-  /// Adds a clause to the database, propagating to saturation. Units go
-  /// straight to the root trail (they are never deletion targets — the
-  /// solver only deletes stored clauses, which are always binary-plus).
-  void add(const std::vector<int> &C) {
-    if (RootConflict)
-      return;
-    for (int L : C)
-      growTo(std::abs(L));
-    if (C.empty()) {
-      RootConflict = true;
-      return;
-    }
-    if (C.size() == 1) {
-      if (!enqueue(C[0]) || propagate())
-        RootConflict = true;
-      return;
-    }
-    int Id = int(Clauses.size());
-    Clauses.push_back({C, false});
-    std::vector<int> &Stored = Clauses[Id].Lits;
-    // Watch two non-false literals when they exist.
-    size_t W = 0;
-    for (size_t I = 0; I < Stored.size() && W < 2; ++I)
-      if (val(Stored[I]) >= 0)
-        std::swap(Stored[W++], Stored[I]);
-    ByKey[key(C)].push_back(Id);
-    Watch[idx(-Stored[0])].push_back(Id);
-    Watch[idx(-Stored[1])].push_back(Id);
-    if (W < 2) {
-      if (!enqueue(Stored[0]) || propagate())
-        RootConflict = true;
-    }
-  }
-
-  /// True iff the clause is a reverse-unit-propagation consequence of the
-  /// live database. Leaves the root trail unchanged.
-  bool isRup(const std::vector<int> &C) {
-    if (RootConflict)
-      return true;
-    for (int L : C)
-      growTo(std::abs(L));
-    size_t Mark = Trail.size();
-    bool Conflict = false;
-    for (int L : C) {
-      int V = val(L);
-      if (V > 0) { // Satisfied at the root: the clause is implied.
-        Conflict = true;
-        break;
-      }
-      if (V == 0 && !enqueue(-L)) {
-        Conflict = true;
-        break;
-      }
-    }
-    if (!Conflict)
-      Conflict = propagate();
-    for (size_t I = Mark; I < Trail.size(); ++I)
-      Assign[std::abs(Trail[I])] = 0;
-    Trail.resize(Mark);
-    Head = Mark;
-    return Conflict;
-  }
-
-  /// Removes the stored clause matching \p C as a literal multiset.
-  /// Returns false when no live clause matches (the caller skips the
-  /// deletion — keeping a clause only strengthens the database).
-  bool erase(const std::vector<int> &C) {
-    if (C.size() < 2)
-      return false;
-    auto It = ByKey.find(key(C));
-    if (It == ByKey.end() || It->second.empty())
-      return false;
-    int Id = It->second.back();
-    It->second.pop_back();
-    if (It->second.empty())
-      ByKey.erase(It);
-    Clauses[Id].Deleted = true;
-    Clauses[Id].Lits.clear();
-    Clauses[Id].Lits.shrink_to_fit();
-    return true;
-  }
-
-private:
-  struct Cl {
-    std::vector<int> Lits;
-    bool Deleted;
-  };
-
-  static size_t idx(int L) {
-    return size_t(std::abs(L)) * 2 + (L < 0 ? 1 : 0);
-  }
-  static std::string key(const std::vector<int> &C) {
-    std::vector<int> S = C;
-    std::sort(S.begin(), S.end());
-    std::string K;
-    K.reserve(S.size() * 4);
-    for (int L : S) {
-      uint32_t X = uint32_t(L);
-      K.push_back(char(X & 0xff));
-      K.push_back(char((X >> 8) & 0xff));
-      K.push_back(char((X >> 16) & 0xff));
-      K.push_back(char((X >> 24) & 0xff));
-    }
-    return K;
-  }
-
-  void growTo(int Var) {
-    if (int(Assign.size()) <= Var)
-      Assign.resize(size_t(Var) + 1, 0);
-    size_t Need = (size_t(Var) + 1) * 2;
-    if (Watch.size() < Need)
-      Watch.resize(Need);
-  }
-  int val(int L) const {
-    int A = Assign[std::abs(L)];
-    return L > 0 ? A : -A;
-  }
-  bool enqueue(int L) {
-    int V = val(L);
-    if (V < 0)
-      return false;
-    if (V == 0) {
-      Assign[std::abs(L)] = L > 0 ? 1 : -1;
-      Trail.push_back(L);
-    }
-    return true;
-  }
-  /// Unit propagation to fixpoint; true = conflict found.
-  bool propagate() {
-    while (Head < Trail.size()) {
-      int P = Trail[Head++];
-      // Clauses watching literal w register under idx(-w) — the literal
-      // whose enqueue falsifies the watch — so P's arrival visits
-      // Watch[idx(P)].
-      std::vector<int> &WList = Watch[idx(P)];
-      size_t Keep = 0;
-      for (size_t I = 0; I < WList.size(); ++I) {
-        int Id = WList[I];
-        Cl &Cls = Clauses[Id];
-        if (Cls.Deleted)
-          continue; // lazily dropped from the watch list
-        std::vector<int> &C = Cls.Lits;
-        if (C[0] == -P)
-          std::swap(C[0], C[1]);
-        if (val(C[0]) > 0) {
-          WList[Keep++] = Id;
-          continue;
-        }
-        bool Moved = false;
-        for (size_t K = 2; K < C.size(); ++K) {
-          if (val(C[K]) >= 0) {
-            std::swap(C[1], C[K]);
-            Watch[idx(-C[1])].push_back(Id);
-            Moved = true;
-            break;
-          }
-        }
-        if (Moved)
-          continue;
-        WList[Keep++] = Id;
-        if (!enqueue(C[0])) {
-          for (size_t K = I + 1; K < WList.size(); ++K)
-            WList[Keep++] = WList[K];
-          WList.resize(Keep);
-          Head = Trail.size();
-          return true;
-        }
-      }
-      WList.resize(Keep);
-    }
-    return false;
-  }
-
-  std::vector<int> Assign; // indexed by variable; 0/+1/-1
-  std::vector<Cl> Clauses;
-  std::vector<std::vector<int>> Watch; // indexed by idx(trigger literal)
-  std::vector<int> Trail;
-  size_t Head = 0;
-  std::unordered_map<std::string, std::vector<int>> ByKey;
-};
 
 //===----------------------------------------------------------------------===//
 // Formula well-formedness gate: an independent recursive-descent parser
@@ -265,6 +64,8 @@ public:
   }
 
   std::string Err;
+  /// The deepest subterm nesting parsed so far.
+  size_t MaxDepth = 0;
 
 private:
   struct Node {
@@ -309,7 +110,20 @@ private:
     return true;
   }
 
+  /// Every subterm costs one level; beyond MaxFormulaDepth the text is
+  /// rejected instead of exhausting the stack.
   bool node(Node &Out) {
+    if (Depth == MaxFormulaDepth)
+      return err("formula nests deeper than " +
+                 std::to_string(MaxFormulaDepth) + " levels");
+    ++Depth;
+    MaxDepth = std::max(MaxDepth, Depth);
+    bool Ok = nodeBody(Out);
+    --Depth;
+    return Ok;
+  }
+
+  bool nodeBody(Node &Out) {
     skipWs();
     if (P >= S.size())
       return err("unexpected end of formula");
@@ -322,7 +136,7 @@ private:
       return true;
     }
     if (lit("!")) {
-      bool B;
+      bool B = false;
       if (!formula(B))
         return false;
       Out = {true, !B, {}};
@@ -483,6 +297,7 @@ private:
 
   const std::string &S;
   size_t P = 0;
+  size_t Depth = 0;
   const HeaderWidths &HW;
   long BufL, BufR;
 };
@@ -528,50 +343,61 @@ bool splitGuarded(const std::string &Text, long &NL, long &NR,
 }
 
 //===----------------------------------------------------------------------===//
-// Stream replay: the RUP checker plus the goal-scope discipline that makes
-// per-goal slices sound (see CertVerify.h and docs/CERTIFICATES.md).
+// Integer fields. Every numeric field of a record is exactly one space
+// followed by one canonical decimal: an optional '-', then "0" or a
+// nonzero digit and more digits — no '+', no leading zeros, no "-0". The
+// writer emits nothing else, so any other spelling of the same value is a
+// rewritten artifact and is rejected rather than read leniently.
 //===----------------------------------------------------------------------===//
 
-struct StreamCheck {
-  RupDb Db;
-  bool GoalOpen = false;
-  long OpenAct = 0; // DIMACS variable of the open goal; 0 = one-shot
-  uint64_t OpenId = 0;
-  uint64_t LastId = 0; // goal ids strictly increase per stream
-  long MaxVarSeen = 0; // since the last restart, for activation freshness
-  std::unordered_set<long> ActVars; // activation variables since restart
+struct Fields {
+  const std::string &S;
+  size_t P;
 
-  void noteVars(const std::vector<int> &Lits) {
-    for (int L : Lits)
-      MaxVarSeen = std::max(MaxVarSeen, long(std::abs(L)));
+  /// Reads " <int>"; false when the next field is missing or not canonical.
+  bool next(long &Out) {
+    if (P >= S.size() || S[P] != ' ')
+      return false;
+    size_t Start = ++P;
+    if (P < S.size() && S[P] == '-')
+      ++P;
+    size_t First = P;
+    while (P < S.size() && std::isdigit(static_cast<unsigned char>(S[P])))
+      ++P;
+    size_t N = P - First;
+    // 18 digits always fit a long; the writer never comes close.
+    if (N == 0 || N > 18 ||
+        (S[First] == '0' && (N > 1 || First != Start)))
+      return false;
+    Out = std::strtol(S.c_str() + Start, nullptr, 10);
+    return true;
   }
-  void restart() {
-    Db.reset();
-    GoalOpen = false;
-    OpenAct = 0;
-    MaxVarSeen = 0;
-    ActVars.clear();
-    // LastId survives: goal ids are per-stream, not per-incarnation.
+  bool done() const { return P == S.size(); }
+  /// Reads " <lit>... 0" up to the end of the record.
+  bool clause(std::vector<int> &Lits) {
+    Lits.clear();
+    long L;
+    while (next(L)) {
+      if (L == 0)
+        return done();
+      if (L > StreamChecker::MaxDimacsVar || L < -StreamChecker::MaxDimacsVar)
+        return false;
+      Lits.push_back(int(L));
+    }
+    return false;
   }
 };
 
-/// Reads "<int>... 0" from \p In into \p Lits; false on malformed input
-/// or a missing terminator.
-bool readClause(std::istringstream &In, std::vector<int> &Lits) {
-  Lits.clear();
-  long L;
-  while (In >> L) {
-    if (L == 0) {
-      std::string Rest;
-      return !(In >> Rest); // nothing after the terminator
-    }
-    if (L > 0x3fffffff || L < -0x3fffffff)
+/// Parses \p Rest (a record with its keyword and first space removed) as
+/// exactly the integers \p Out, in order.
+bool parseInts(const std::string &Rest, std::initializer_list<long *> Out) {
+  std::string Text = " " + Rest;
+  Fields F{Text, 0};
+  for (long *V : Out)
+    if (!F.next(*V))
       return false;
-    Lits.push_back(int(L));
-  }
-  return false; // terminator never seen
+  return F.done();
 }
-
 } // namespace
 
 VerifyResult cert::verifyCertificate(const std::string &Payload,
@@ -658,21 +484,15 @@ VerifyResult cert::verifyCertificate(const std::string &Payload,
   if (!takePrefix("headers ", Rest))
     return fail("expected the headers line");
   long NHl = 0, NHr = 0;
-  {
-    std::istringstream In(Rest);
-    std::string Extra;
-    if (!(In >> NHl >> NHr) || (In >> Extra) || NHl < 0 || NHr < 0)
-      return fail("malformed headers line");
-  }
+  if (!parseInts(Rest, {&NHl, &NHr}) || NHl < 0 || NHr < 0)
+    return fail("malformed headers line");
   for (long K = 0; K < NHl + NHr; ++K) {
     bool LeftSide = K < NHl;
     if (!takePrefix(LeftSide ? "hl " : "hr ", Rest))
       return fail(LeftSide ? "expected a left header-width line (hl)"
                            : "expected a right header-width line (hr)");
-    std::istringstream In(Rest);
     long Id, W;
-    std::string Extra;
-    if (!(In >> Id >> W) || (In >> Extra) || Id < 0 || W < 0)
+    if (!parseInts(Rest, {&Id, &W}) || Id < 0 || W < 0)
       return fail("malformed header-width line");
     auto &Map = LeftSide ? HW.Left : HW.Right;
     if (!Map.emplace(Id, W).second)
@@ -693,18 +513,15 @@ VerifyResult cert::verifyCertificate(const std::string &Payload,
     FormulaParser FP(Body, HW, NL, NR);
     if (!FP.parseFormula())
       return fail("spec premise: " + FP.Err);
+    R.Stats.FormulaDepth = FP.MaxDepth;
   }
 
   // --- Relation ---
   if (!takePrefix("relation ", Rest))
     return fail("expected the relation line");
   long NRel = 0;
-  {
-    std::istringstream In(Rest);
-    std::string Extra;
-    if (!(In >> NRel) || (In >> Extra) || NRel < 0)
-      return fail("malformed relation count");
-  }
+  if (!parseInts(Rest, {&NRel}) || NRel < 0)
+    return fail("malformed relation count");
   uint64_t RelHash = fnv1a64("", 14695981039346656037ull);
   for (long K = 0; K < NRel; ++K) {
     if (!takePrefix("c ", Rest))
@@ -722,6 +539,7 @@ VerifyResult cert::verifyCertificate(const std::string &Payload,
     FormulaParser FP(Body, HW, NL, NR);
     if (!FP.parseFormula())
       return fail("conjunct " + std::to_string(K + 1) + ": " + FP.Err);
+    R.Stats.FormulaDepth = std::max(R.Stats.FormulaDepth, FP.MaxDepth);
     ++R.Stats.RelationConjuncts;
   }
   if (!takePrefix("relhash ", Rest))
@@ -734,213 +552,109 @@ VerifyResult cert::verifyCertificate(const std::string &Payload,
   if (!takePrefix("streams ", Rest))
     return fail("expected the streams line");
   long NStreams = 0;
-  {
-    std::istringstream In(Rest);
-    std::string Extra;
-    if (!(In >> NStreams) || (In >> Extra) || NStreams < 0)
-      return fail("malformed stream count");
-  }
+  if (!parseInts(Rest, {&NStreams}) || NStreams < 0)
+    return fail("malformed stream count");
   for (long SIdx = 0; SIdx < NStreams; ++SIdx) {
     if (!takePrefix("stream ", Rest))
       return fail("expected stream " + std::to_string(SIdx) + " of " +
                   std::to_string(NStreams));
     long Declared = -1, NEvents = -1;
-    {
-      std::istringstream In(Rest);
-      std::string Extra;
-      if (!(In >> Declared >> NEvents) || (In >> Extra) || NEvents < 0)
-        return fail("malformed stream header");
-      if (Declared != SIdx)
-        return fail("stream index " + std::to_string(Declared) +
-                    " out of order (expected " + std::to_string(SIdx) + ")");
-    }
-    StreamCheck SC;
+    if (!parseInts(Rest, {&Declared, &NEvents}) || NEvents < 0)
+      return fail("malformed stream header");
+    if (Declared != SIdx)
+      return fail("stream index " + std::to_string(Declared) +
+                  " out of order (expected " + std::to_string(SIdx) + ")");
+    // The tokenizer only splits records into events; every rule lives in
+    // the StreamChecker, the same one --certify-smt runs in-process.
+    StreamChecker SC;
     std::vector<int> Lits;
     for (long E = 0; E < NEvents; ++E) {
       if (!haveLine())
         return fail("stream ends after " + std::to_string(E) + " of " +
                     std::to_string(NEvents) + " events (truncated?)");
       const std::string &Line = Lines[I];
-      if (Line.size() < 1)
+      if (Line.empty())
         return fail("empty event line");
-      char Kind = Line[0];
-      std::istringstream In(Line.substr(1));
-      switch (Kind) {
-      case 'g': {
-        long Id = -1, Act = -1;
-        std::string Extra;
-        if (!(In >> Id >> Act) || (In >> Extra) || Id < 0 || Act < 0)
+      Fields F{Line, 1};
+      long Id = -1, Act = -1;
+      std::string Why;
+      switch (Line[0]) {
+      case 'g':
+        if (!F.next(Id) || !F.next(Act) || !F.done() || Id < 0 || Act < 0 ||
+            Act > StreamChecker::MaxDimacsVar)
           return fail("malformed goal-begin event");
-        if (SC.GoalOpen)
-          return fail("goal " + std::to_string(Id) + " opened while goal " +
-                      std::to_string(SC.OpenId) + " is still open");
-        if (uint64_t(Id) <= SC.LastId)
-          return fail("goal id " + std::to_string(Id) +
-                      " does not increase (last was " +
-                      std::to_string(SC.LastId) + ")");
-        if (Act > 0) {
-          if (Act <= SC.MaxVarSeen)
-            return fail("activation variable " + std::to_string(Act) +
-                        " of goal " + std::to_string(Id) +
-                        " is not fresh (a variable up to " +
-                        std::to_string(SC.MaxVarSeen) +
-                        " was already mentioned)");
-          SC.ActVars.insert(Act);
-          SC.MaxVarSeen = Act;
-        }
-        SC.GoalOpen = true;
-        SC.OpenAct = Act;
-        SC.OpenId = uint64_t(Id);
-        SC.LastId = uint64_t(Id);
-        ++R.Stats.Goals;
+        Why = SC.goalBegin(uint64_t(Id), int(Act));
         break;
-      }
-      case 'i': {
-        if (!readClause(In, Lits))
+      case 'i':
+        if (!F.clause(Lits))
           return fail("malformed input clause");
-        SC.noteVars(Lits);
-        // Scope discipline. Globally: activation variables are only ever
-        // assumed, never asserted, so a positive activation literal in
-        // any input is malformed. Inside the scope of an open goal g, an
-        // input is either a goal clause (carries the guard -act_g) or a
-        // lazily-blasted premise (mentions no activation variable at
-        // all) — a clause that mentions act_g without guarding on it, or
-        // drags another goal's activation variable in mid-scope, fits
-        // neither producer shape and is rejected. Retirement units
-        // {-act_h} of *ended* goals are admitted only outside any scope,
-        // where the model-extension argument (docs/CERTIFICATES.md)
-        // makes them harmless.
-        bool HasGuard = false, MentionsAct = false;
-        for (int L : Lits) {
-          int V = L > 0 ? L : -L;
-          if (L > 0 && SC.ActVars.count(V))
-            return fail("input clause contains a positive activation "
-                        "literal " +
-                        std::to_string(L) +
-                        " (activation variables must only be assumed, "
-                        "never asserted)");
-          if (SC.ActVars.count(V)) {
-            MentionsAct = true;
-            if (SC.GoalOpen && SC.OpenAct > 0 && L == -int(SC.OpenAct))
-              HasGuard = true;
-          }
-        }
-        if (SC.GoalOpen && SC.OpenAct > 0 && MentionsAct && !HasGuard)
-          return fail("input clause inside the scope of goal " +
-                      std::to_string(SC.OpenId) +
-                      " mentions an activation variable but is missing "
-                      "the guard literal " +
-                      std::to_string(-SC.OpenAct));
-        SC.Db.add(Lits);
-        ++R.Stats.Inputs;
+        Why = SC.input(Lits);
         break;
-      }
-      case 'l': {
-        if (!readClause(In, Lits))
+      case 'l':
+        if (!F.clause(Lits))
           return fail("malformed lemma clause");
-        SC.noteVars(Lits);
-        ++R.Stats.Lemmas;
-        if (Lits.empty()) {
-          if (!SC.Db.RootConflict && !SC.Db.isRup(Lits))
-            return fail("empty lemma recorded, but the database is not "
-                        "conflicting");
-          SC.Db.add(Lits);
-          break;
-        }
-        if (!SC.Db.isRup(Lits))
-          return fail("lemma is not a reverse-unit-propagation "
-                      "consequence of the live clause database");
-        SC.Db.add(Lits);
+        Why = SC.lemma(Lits);
         break;
-      }
-      case 'd': {
-        if (!readClause(In, Lits))
+      case 'd':
+        if (!F.clause(Lits))
           return fail("malformed deletion");
-        SC.noteVars(Lits);
-        ++R.Stats.Deletions;
-        if (!SC.Db.erase(Lits))
-          ++R.Stats.DeletionsSkipped; // sound: the clause stays
+        Why = SC.erase(Lits);
         break;
-      }
-      case 'u': {
-        long Id = -1;
-        if (!(In >> Id) || Id < 0)
+      case 'u':
+        if (!F.next(Id) || Id < 0)
           return fail("malformed goal-unsat event");
-        if (!readClause(In, Lits))
+        if (!F.clause(Lits))
           return fail("malformed goal-unsat core");
-        if (!SC.GoalOpen || SC.OpenId != uint64_t(Id))
-          return fail("goal " + std::to_string(Id) +
-                      " closed unsat, but it is not the open goal");
-        if (SC.OpenAct == 0 && !Lits.empty())
-          return fail("one-shot goal " + std::to_string(Id) +
-                      " closed with a non-empty core");
-        for (int L : Lits)
-          if (L != -int(SC.OpenAct))
-            return fail("unsat core of goal " + std::to_string(Id) +
-                        " contains " + std::to_string(L) +
-                        ", expected only the negated activation literal " +
-                        std::to_string(-SC.OpenAct));
-        if (Lits.empty()) {
-          if (!SC.Db.RootConflict && !SC.Db.isRup(Lits))
-            return fail("goal " + std::to_string(Id) +
-                        " claims root unsatisfiability, but the database "
-                        "is not conflicting");
-        } else if (!SC.Db.isRup(Lits)) {
-          return fail("unsat core of goal " + std::to_string(Id) +
-                      " is not a reverse-unit-propagation consequence of "
-                      "the live clause database");
-        }
-        SC.GoalOpen = false;
-        SC.OpenAct = 0;
-        ++R.Stats.UnsatGoals;
+        Why = SC.goalUnsat(uint64_t(Id), Lits);
         break;
-      }
-      case 'e': {
-        long Id = -1;
-        std::string Extra;
-        if (!(In >> Id) || (In >> Extra) || Id < 0)
+      case 'e':
+        if (!F.next(Id) || !F.done() || Id < 0)
           return fail("malformed goal-sat event");
-        if (!SC.GoalOpen || SC.OpenId != uint64_t(Id))
-          return fail("goal " + std::to_string(Id) +
-                      " closed sat, but it is not the open goal");
-        SC.GoalOpen = false;
-        SC.OpenAct = 0;
+        Why = SC.goalSat(uint64_t(Id));
         break;
-      }
-      case 'r': {
-        std::string Extra;
-        if (In >> Extra)
+      case 'r':
+        if (!F.done())
           return fail("malformed restart event");
-        if (SC.GoalOpen)
-          return fail("session restart while goal " +
-                      std::to_string(SC.OpenId) + " is open");
-        SC.restart();
+        Why = SC.restart();
         break;
-      }
       default:
-        return fail(std::string("unknown event kind '") + Kind + "'");
+        return fail(std::string("unknown event kind '") + Line[0] + "'");
       }
+      if (!Why.empty())
+        return fail(Why);
       ++I;
     }
-    if (SC.GoalOpen)
-      return fail("stream " + std::to_string(SIdx) + " ends with goal " +
-                  std::to_string(SC.OpenId) + " still open");
+    std::string Why = SC.finish();
+    if (!Why.empty())
+      return fail("stream " + std::to_string(SIdx) + ": " + Why);
     if (!haveLine() || Lines[I] != "endstream")
       return fail("expected \"endstream\" after " +
                   std::to_string(NEvents) + " events");
     ++I;
     ++R.Stats.Streams;
+    const StreamStats &SS = SC.stats();
+    R.Stats.Goals += SS.Goals;
+    R.Stats.UnsatGoals += SS.UnsatGoals;
+    R.Stats.Inputs += SS.Inputs;
+    R.Stats.Lemmas += SS.Lemmas;
+    R.Stats.Deletions += SS.Deletions;
+    R.Stats.DeletionsSkipped += SS.DeletionsSkipped;
   }
 
   // --- Trailer ---
   if (!takePrefix("trailer ", Rest))
     return fail("expected the trailer line");
   {
-    std::istringstream In(Rest);
+    std::string Text = " " + Rest;
+    Fields F{Text, 0};
     long TN = -1, TM = -1;
-    std::string THash, TFp, Extra;
-    if (!(In >> TN >> TM >> THash >> TFp) || (In >> Extra))
+    if (!F.next(TN) || !F.next(TM) || F.done() || Text[F.P] != ' ')
       return fail("malformed trailer");
+    size_t Sp = Text.find(' ', F.P + 1);
+    if (Sp == std::string::npos || Text.find(' ', Sp + 1) != std::string::npos)
+      return fail("malformed trailer");
+    std::string THash = Text.substr(F.P + 1, Sp - F.P - 1);
+    std::string TFp = Text.substr(Sp + 1);
     if (TN != NRel || TM != NStreams)
       return fail("trailer counts (" + std::to_string(TN) + " conjuncts, " +
                   std::to_string(TM) + " streams) disagree with the body (" +

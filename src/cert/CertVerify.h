@@ -10,9 +10,9 @@
 /// analogue of the paper's "check the certificate in the Coq kernel"
 /// step (§6.4). verifyCertificate() replays a serialized certificate
 /// (core/CertificateIo.h format, see cert/CertFormat.h) with NO linkage
-/// against the solver, the checker, the logic layer, or the parallel
-/// engine: its trusted base is this file, CertFormat, the LZSS
-/// decompressor, and the C++ standard library. What it re-derives:
+/// against the solver, the checker or the logic layer: its trusted base
+/// is this file, CertFormat, StreamCheck, the LZSS decompressor, and the
+/// C++ standard library. What it re-derives:
 ///
 ///  * Container integrity — magic line, section counts, the trailer
 ///    repeating counts/relhash/fingerprint, and the LFCERT-END mark
@@ -22,22 +22,16 @@
 ///    and passes a width/zero-evaluation gate against the declared
 ///    header widths and guard buffer lengths; the relation hash must
 ///    match the recorded one.
-///  * Proof stream validity — every stream replays through an
-///    independent deletion-aware RUP checker: inputs extend the clause
-///    database, every lemma must be RUP when recorded, deletions remove
-///    the matching stored clause (unknown deletions are skipped — that
-///    only strengthens the database), restarts reset it.
-///  * Goal scope discipline — the structural rules that make per-goal
-///    DRUP slices sound under clause deletion and goal retirement
-///    (docs/CERTIFICATES.md): activation variables are fresh at their
-///    GoalBegin (greater than every variable mentioned since the last
-///    restart), at most one goal is open at a time, goal ids strictly
-///    increase, no input anywhere contains a positive activation
-///    literal, every input inside a goal's scope carries that goal's
-///    negated activation literal, and an UNSAT goal's core consists only
-///    of the open goal's negated activation literal (empty cores require
-///    the database to be conflicting at the root; one-shot goals —
-///    activation 0 — only close with empty cores).
+///  * Record syntax — every integer field is one space plus one canonical
+///    decimal (no '+', no leading zeros), so a rewritten spelling of a
+///    record is rejected, not read leniently; formula nesting is bounded
+///    by MaxFormulaDepth.
+///  * Proof stream validity and goal scope discipline — every stream
+///    replays through cert::StreamChecker (cert/StreamCheck.h): a
+///    deletion-aware RUP checker plus the structural rules that make
+///    per-goal DRUP slices sound under clause deletion and goal
+///    retirement. The in-repo solver runs the same checker in-process
+///    under `--certify-smt`.
 ///
 /// What it deliberately does NOT check: that the CNF inside the streams
 /// is a faithful bit-blasting of the relation's entailment obligations.
@@ -57,6 +51,12 @@
 namespace leapfrog {
 namespace cert {
 
+/// The deepest subterm nesting a formula line may have. Real conjuncts
+/// stay far below it (VerifyStats::FormulaDepth reports how far; the
+/// CertificateTest sweeps pin the margin); the bound keeps a hostile
+/// certificate from exhausting the verifier's stack.
+constexpr size_t MaxFormulaDepth = 1000;
+
 struct VerifyOptions {
   /// When nonempty, the certificate's fingerprint line must equal this
   /// (lowercase hex) — how a store consumer pins a certificate to the
@@ -73,6 +73,8 @@ struct VerifyStats {
   size_t Lemmas = 0;
   size_t Deletions = 0;
   size_t DeletionsSkipped = 0;
+  /// Deepest subterm nesting over the spec and relation lines.
+  size_t FormulaDepth = 0;
 };
 
 struct VerifyResult {

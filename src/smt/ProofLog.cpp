@@ -7,35 +7,8 @@
 
 #include "smt/ProofLog.h"
 
-#include <algorithm>
-#include <chrono>
-
 using namespace leapfrog;
 using namespace leapfrog::smt;
-
-namespace {
-
-uint64_t nowMicros() {
-  return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count());
-}
-
-std::string dimacs(Lit L) {
-  return std::to_string(L.negated() ? -(L.var() + 1) : L.var() + 1);
-}
-
-std::string clauseLine(const std::vector<Lit> &C) {
-  std::string Out;
-  for (Lit L : C) {
-    Out += dimacs(L);
-    Out += ' ';
-  }
-  Out += '0';
-  return Out;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // ProofStream
@@ -90,232 +63,4 @@ void ProofStream::restart() {
   ProofEvent E;
   E.K = ProofEvent::Kind::Restart;
   Events.push_back(std::move(E));
-}
-
-//===----------------------------------------------------------------------===//
-// StreamingProofChecker
-//===----------------------------------------------------------------------===//
-
-void StreamingProofChecker::fail(const std::string &Why) {
-  if (Error.empty())
-    Error = Why;
-}
-
-std::string StreamingProofChecker::multisetKey(const std::vector<Lit> &C) {
-  std::vector<Lit> Sorted = C;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::string Key;
-  Key.reserve(Sorted.size() * 4);
-  for (Lit L : Sorted) {
-    uint32_t X = uint32_t(L.index());
-    Key.push_back(char(X & 0xff));
-    Key.push_back(char((X >> 8) & 0xff));
-    Key.push_back(char((X >> 16) & 0xff));
-    Key.push_back(char((X >> 24) & 0xff));
-  }
-  return Key;
-}
-
-void StreamingProofChecker::growTo(Var V) {
-  while (int(Assigns.size()) <= V) {
-    Assigns.push_back(LBool::Undef);
-    Watches.emplace_back();
-    Watches.emplace_back();
-  }
-}
-
-bool StreamingProofChecker::enqueue(Lit L) {
-  LBool Val = value(L);
-  if (Val == LBool::False)
-    return false;
-  if (Val == LBool::Undef) {
-    Assigns[L.var()] = fromBool(!L.negated());
-    Trail.push_back(L);
-  }
-  return true;
-}
-
-bool StreamingProofChecker::propagate() {
-  while (QueueHead < Trail.size()) {
-    Lit P = Trail[QueueHead++];
-    ++S.Propagations;
-    std::vector<int> &WList = Watches[P.index()];
-    size_t Keep = 0;
-    for (size_t I = 0; I < WList.size(); ++I) {
-      int Id = WList[I];
-      CClause &Cl = Clauses[Id];
-      if (Cl.Deleted)
-        continue; // lazily purged from the watch list
-      std::vector<Lit> &C = Cl.Lits;
-      if (C[0] == ~P)
-        std::swap(C[0], C[1]);
-      if (value(C[0]) == LBool::True) {
-        WList[Keep++] = Id;
-        continue;
-      }
-      bool FoundWatch = false;
-      for (size_t K = 2; K < C.size(); ++K) {
-        if (value(C[K]) != LBool::False) {
-          std::swap(C[1], C[K]);
-          Watches[(~C[1]).index()].push_back(Id);
-          FoundWatch = true;
-          break;
-        }
-      }
-      if (FoundWatch)
-        continue;
-      WList[Keep++] = Id;
-      if (!enqueue(C[0])) {
-        for (size_t K = I + 1; K < WList.size(); ++K)
-          WList[Keep++] = WList[K];
-        WList.resize(Keep);
-        QueueHead = Trail.size();
-        return true;
-      }
-    }
-    WList.resize(Keep);
-  }
-  return false;
-}
-
-bool StreamingProofChecker::addClause(const std::vector<Lit> &C) {
-  for (Lit L : C)
-    growTo(L.var());
-  if (C.empty()) {
-    RootConflict = true;
-    return false;
-  }
-  if (C.size() == 1) {
-    if (!enqueue(C[0]) || propagate()) {
-      RootConflict = true;
-      return false;
-    }
-    return true;
-  }
-  int Id = int(Clauses.size());
-  Clauses.push_back(CClause{C, false});
-  ByKey[multisetKey(C)].push_back(Id);
-  std::vector<Lit> &Stored = Clauses.back().Lits;
-  size_t W = 0;
-  for (size_t I = 0; I < Stored.size() && W < 2; ++I)
-    if (value(Stored[I]) != LBool::False)
-      std::swap(Stored[W++], Stored[I]);
-  Watches[(~Stored[0]).index()].push_back(Id);
-  Watches[(~Stored[1]).index()].push_back(Id);
-  if (W < 2) {
-    if (!enqueue(Stored[0]) || propagate()) {
-      RootConflict = true;
-      return false;
-    }
-  }
-  return true;
-}
-
-bool StreamingProofChecker::lemmaIsRup(const std::vector<Lit> &Lemma) {
-  size_t TrailMark = Trail.size();
-  size_t HeadMark = QueueHead;
-  bool Conflict = false;
-  for (Lit L : Lemma) {
-    growTo(L.var());
-    if (!enqueue(~L)) {
-      Conflict = true;
-      break;
-    }
-  }
-  if (!Conflict)
-    Conflict = propagate();
-  for (size_t I = Trail.size(); I > TrailMark; --I)
-    Assigns[Trail[I - 1].var()] = LBool::Undef;
-  Trail.resize(TrailMark);
-  QueueHead = HeadMark;
-  return Conflict;
-}
-
-void StreamingProofChecker::onInput(const std::vector<Lit> &Clause) {
-  if (!ok() || RootConflict)
-    return; // failed already, or proven unsat: everything follows
-  addClause(Clause);
-}
-
-void StreamingProofChecker::onLemma(const std::vector<Lit> &Clause) {
-  if (!ok() || RootConflict)
-    return;
-  uint64_t T0 = nowMicros();
-  ++S.LemmasChecked;
-  if (Clause.empty()) {
-    if (!propagate())
-      fail("empty lemma claimed, but the database does not propagate to a "
-           "conflict");
-    else
-      RootConflict = true;
-    S.Micros += nowMicros() - T0;
-    return;
-  }
-  if (!lemmaIsRup(Clause)) {
-    fail("lemma (" + clauseLine(Clause) + ") is not RUP");
-    S.Micros += nowMicros() - T0;
-    return;
-  }
-  addClause(Clause);
-  S.Micros += nowMicros() - T0;
-}
-
-void StreamingProofChecker::onDelete(const std::vector<Lit> &Clause) {
-  if (!ok() || RootConflict)
-    return;
-  ++S.Deletions;
-  if (Clause.size() < 2) {
-    // Stored clauses are always binary or longer (units live on the trail),
-    // and root facts are never retracted: skipping is sound.
-    ++S.DeletionsSkipped;
-    return;
-  }
-  auto It = ByKey.find(multisetKey(Clause));
-  if (It == ByKey.end() || It->second.empty()) {
-    // Unknown deletion (e.g. the solver's copy of a normalization-changed
-    // input). Skipping only leaves the checker database stronger.
-    ++S.DeletionsSkipped;
-    return;
-  }
-  int Id = It->second.back();
-  It->second.pop_back();
-  if (It->second.empty())
-    ByKey.erase(It);
-  Clauses[Id].Deleted = true;
-  Clauses[Id].Lits.clear();
-  Clauses[Id].Lits.shrink_to_fit();
-}
-
-bool StreamingProofChecker::goalEndUnsat(const std::vector<Lit> &Core) {
-  if (!ok())
-    return false;
-  uint64_t T0 = nowMicros();
-  bool Ok;
-  if (Core.empty()) {
-    Ok = RootConflict || propagate();
-    if (Ok)
-      RootConflict = true;
-    else
-      fail("empty UNSAT core claimed, but the database is not conflicting "
-           "at the root");
-  } else if (RootConflict) {
-    Ok = true;
-  } else {
-    Ok = lemmaIsRup(Core);
-    if (!Ok)
-      fail("UNSAT core (" + clauseLine(Core) + ") is not RUP");
-  }
-  S.Micros += nowMicros() - T0;
-  return Ok;
-}
-
-void StreamingProofChecker::restart() {
-  Clauses.clear();
-  Watches.clear();
-  Assigns.clear();
-  Trail.clear();
-  ByKey.clear();
-  QueueHead = 0;
-  RootConflict = false;
 }

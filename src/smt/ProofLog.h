@@ -3,23 +3,22 @@
 // Part of leapfrog-cc, a C++ reproduction of "Leapfrog: Certified Equivalence
 // for Protocol Parsers" (PLDI 2022).
 //
-// Session-mode certification. The one-shot DratProof in Drat.h assumes a
-// solver whose clause database only grows and that answers exactly one
-// query; incremental sessions violate both (reduceDB and goal GC delete
-// clauses, and one SAT solver answers thousands of entailment goals). This
-// header provides the streaming counterpart:
+// Proof capture. Every certified or captured UNSAT answer of the in-repo
+// solver is covered by a recorded event stream:
 //
 //  - ProofSink: the callback interface SatSolver feeds with every clause
 //    database event (input added, lemma learnt, clause deleted).
 //  - ProofStream: a recorded event stream for one solver incarnation,
 //    extended with the structural markers the session layer emits around
 //    each entailment goal (goal begin under an activation variable, goal
-//    end with an UNSAT core or a SAT answer, session restart).
+//    end with an UNSAT core or a SAT answer, session restart). A one-shot
+//    solve is one unguarded goal: its inputs, then its lemmas.
 //  - ProofLog: an ordered collection of streams — one per solver
 //    incarnation — with stable references.
-//  - StreamingProofChecker: a deletion-aware incremental RUP checker that
-//    validates a certified session's stream as it is produced, for
-//    CertifyUnsat runs that do not record a log.
+//
+// Streams are checked by cert::StreamChecker (cert/StreamCheck.h), either
+// offline by leapfrog-certcheck on the serialized artifact or in-process
+// under BitBlastSolver::CertifyUnsat, one goal at a time.
 //
 // Why per-goal slices are sound under deletion and goal GC: activation
 // variables never occur positively in any clause (guarded goal clauses and
@@ -46,8 +45,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace leapfrog {
@@ -144,76 +141,6 @@ public:
 
 private:
   std::deque<ProofStream> Streams;
-};
-
-/// Deletion-aware incremental RUP checker. Mirrors DratChecker's watched
-/// propagation engine but follows a live session instead of replaying a
-/// finished proof: inputs extend the database, lemmas are RUP-checked and
-/// then added, deletions remove the stored clause matching the reported
-/// literal multiset, and restarts reset everything. Failures latch into
-/// error(); the session aborts on the first failure, matching the one-shot
-/// CertifyUnsat contract.
-///
-/// Deleting a clause never retracts root-trail literals it helped derive:
-/// the invariant is that root facts are consequences of all inputs seen so
-/// far, and deletions do not shrink that set.
-class StreamingProofChecker final : public ProofSink {
-public:
-  struct Stats {
-    uint64_t LemmasChecked = 0;
-    uint64_t Propagations = 0;
-    uint64_t Deletions = 0;
-    uint64_t DeletionsSkipped = 0;
-    uint64_t Micros = 0;
-  };
-
-  void onInput(const std::vector<Lit> &Clause) override;
-  void onLemma(const std::vector<Lit> &Clause) override;
-  void onDelete(const std::vector<Lit> &Clause) override;
-
-  /// Validates an UNSAT goal answer: an empty \p Core requires the
-  /// database to be conflicting at the root; otherwise the core clause
-  /// must be RUP. Returns false (and latches the error) on failure.
-  bool goalEndUnsat(const std::vector<Lit> &Core);
-  /// Resets the database for a fresh solver incarnation.
-  void restart();
-
-  bool ok() const { return Error.empty(); }
-  const std::string &error() const { return Error; }
-  const Stats &stats() const { return S; }
-
-private:
-  struct CClause {
-    std::vector<Lit> Lits;
-    bool Deleted = false;
-  };
-
-  LBool value(Lit L) const {
-    LBool V = Assigns[L.var()];
-    if (V == LBool::Undef)
-      return LBool::Undef;
-    bool B = (V == LBool::True) != L.negated();
-    return B ? LBool::True : LBool::False;
-  }
-
-  void growTo(Var V);
-  bool enqueue(Lit L);
-  bool propagate();
-  bool addClause(const std::vector<Lit> &Clause);
-  bool lemmaIsRup(const std::vector<Lit> &Lemma);
-  void fail(const std::string &Why);
-  static std::string multisetKey(const std::vector<Lit> &Clause);
-
-  std::vector<CClause> Clauses;
-  std::vector<std::vector<int>> Watches; // indexed by Lit::index()
-  std::vector<LBool> Assigns;
-  std::vector<Lit> Trail;
-  size_t QueueHead = 0;
-  bool RootConflict = false;
-  /// Live stored clauses by sorted-literal key, for deletion matching.
-  std::unordered_map<std::string, std::vector<int>> ByKey;
-  std::string Error;
-  Stats S;
 };
 
 } // namespace smt

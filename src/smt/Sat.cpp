@@ -8,7 +8,6 @@
 #include "smt/Sat.h"
 
 #include "obs/Metrics.h"
-#include "smt/Drat.h"
 #include "smt/ProofLog.h"
 
 #include <algorithm>
@@ -17,17 +16,13 @@ using namespace leapfrog;
 using namespace leapfrog::smt;
 
 void SatSolver::logInput(const std::vector<Lit> &C) {
-  if (Proof)
-    Proof->Inputs.push_back(C);
   if (Sink)
     Sink->onInput(C);
 }
 
-void SatSolver::logLemma(std::vector<Lit> C) {
+void SatSolver::logLemma(const std::vector<Lit> &C) {
   if (Sink)
     Sink->onLemma(C);
-  if (Proof)
-    Proof->Lemmas.push_back(std::move(C));
 }
 
 void SatSolver::logDelete(const std::vector<Lit> &C) {

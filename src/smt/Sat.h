@@ -31,7 +31,6 @@
 namespace leapfrog {
 namespace smt {
 
-struct DratProof;
 class ProofSink;
 
 /// A propositional variable (0-based).
@@ -174,24 +173,11 @@ public:
   /// Stats::ClausesDeleted.
   void simplify();
 
-  /// Enables DRUP proof logging into \p P (see Drat.h). Must be called
-  /// before the first addClause(). The proof records every input clause
-  /// and every derived clause; on UNSAT it ends with the empty clause, and
-  /// DratChecker can then validate the unsatisfiability claim without
-  /// trusting this solver.
-  void setProofLog(DratProof *P) {
-    assert(Clauses.empty() && Trail.empty() &&
-           "proof logging must start before the first clause");
-    Proof = P;
-  }
-
   /// Streams every clause-database event (input, learnt lemma, deletion)
-  /// into \p Snk as it happens (see ProofLog.h). The streaming counterpart
-  /// of setProofLog for long-lived incremental sessions, where clause
-  /// deletion makes the grow-only DratProof unusable: deletions are
-  /// reported too, so a deletion-aware checker can mirror the database.
-  /// Must be attached before the first clause; detaching (nullptr) is
-  /// allowed at any time.
+  /// into \p Snk as it happens (see ProofLog.h). Deletions are reported
+  /// too, so a deletion-aware checker (cert/StreamCheck.h) can mirror the
+  /// database. Must be attached before the first clause; detaching
+  /// (nullptr) is allowed at any time.
   void setProofSink(ProofSink *Snk) {
     assert((Snk == nullptr || (Clauses.empty() && Trail.empty())) &&
            "proof streaming must start before the first clause");
@@ -295,10 +281,10 @@ private:
   std::vector<uint64_t> LevelStamp; ///< Scratch for computeLbd().
   uint64_t LbdStamp = 0;
 
-  /// Proof-log helpers; no-ops when logging is disabled. Defined out of
-  /// line because DratProof/ProofSink are incomplete here.
+  /// Proof-sink helpers; no-ops without a sink. Defined out of line
+  /// because ProofSink is incomplete here.
   void logInput(const std::vector<Lit> &C);
-  void logLemma(std::vector<Lit> C);
+  void logLemma(const std::vector<Lit> &C);
   void logDelete(const std::vector<Lit> &C);
 
   std::vector<char> Seen; ///< Scratch for analyze().
@@ -310,7 +296,6 @@ private:
   bool Unsat = false;
   const std::atomic<bool> *InterruptFlag = nullptr;
   bool Interrupted = false;
-  DratProof *Proof = nullptr;
   ProofSink *Sink = nullptr;
   Stats S;
 };

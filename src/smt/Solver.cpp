@@ -7,11 +7,11 @@
 
 #include "smt/Solver.h"
 
+#include "cert/StreamCheck.h"
 #include "obs/Clock.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "smt/BitBlast.h"
-#include "smt/Drat.h"
 #include "smt/ProofLog.h"
 
 #include <cstdio>
@@ -26,6 +26,74 @@ using namespace leapfrog::smt;
 bool SmtSolver::isValid(const BvFormulaRef &F, Model *Counterexample) {
   return checkSat(BvFormula::mkNot(F), Counterexample) == SatResult::Unsat;
 }
+
+namespace {
+
+/// CertifyUnsat's in-process check: feeds a proof stream's events through
+/// cert::StreamChecker — the checker leapfrog-certcheck runs, which shares
+/// no code with solving — and aborts on the first rejection, since an
+/// UNSAT answer whose proof does not check is exactly the soundness hole
+/// certification exists to close.
+class StreamCertifier {
+public:
+  /// Checks the events of \p S not fed yet and folds the checked lemmas,
+  /// certified UNSAT goals and time into \p St. With \p Drop the fed
+  /// events are erased from \p S, so a stream nobody else reads costs no
+  /// more memory than the events of one goal.
+  void feed(ProofStream &S, bool Drop, SolverStats &St) {
+    obs::ScopedMicros Timer(St.ProofMicros);
+    size_t Lemmas = Checker.stats().Lemmas;
+    size_t Unsat = Checker.stats().UnsatGoals;
+    for (; Next < S.Events.size(); ++Next) {
+      std::string Why = check(S.Events[Next]);
+      if (!Why.empty()) {
+        std::fprintf(stderr,
+                     "leapfrog: in-process proof check failed at stream "
+                     "event %zu: %s\n",
+                     Fed + Next, Why.c_str());
+        std::abort();
+      }
+    }
+    St.ProofLemmas += Checker.stats().Lemmas - Lemmas;
+    St.CertifiedUnsat += Checker.stats().UnsatGoals - Unsat;
+    if (Drop) {
+      Fed += Next;
+      Next = 0;
+      S.Events.clear();
+    }
+  }
+
+private:
+  std::string check(const ProofEvent &E) {
+    Lits.clear();
+    for (Lit L : E.Lits)
+      Lits.push_back(L.negated() ? -(L.var() + 1) : L.var() + 1);
+    switch (E.K) {
+    case ProofEvent::Kind::Input:
+      return Checker.input(Lits);
+    case ProofEvent::Kind::Lemma:
+      return Checker.lemma(Lits);
+    case ProofEvent::Kind::Delete:
+      return Checker.erase(Lits);
+    case ProofEvent::Kind::GoalBegin:
+      return Checker.goalBegin(E.GoalId, E.ActVar + 1);
+    case ProofEvent::Kind::GoalEndUnsat:
+      return Checker.goalUnsat(E.GoalId, Lits);
+    case ProofEvent::Kind::GoalEndSat:
+      return Checker.goalSat(E.GoalId);
+    case ProofEvent::Kind::Restart:
+      return Checker.restart();
+    }
+    return "unknown proof event";
+  }
+
+  cert::StreamChecker Checker;
+  std::vector<int> Lits; ///< Scratch: the event's clause in DIMACS.
+  size_t Next = 0;       ///< Index in S.Events of the next unfed event.
+  size_t Fed = 0;        ///< Events fed and dropped before Next.
+};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Incremental sessions
@@ -93,7 +161,9 @@ public:
     if (Owner.CaptureLog)
       Stream = &Owner.CaptureLog->newStream();
     else if (Owner.CertifyUnsat)
-      Validator = std::make_unique<StreamingProofChecker>();
+      Stream = &OwnStream;
+    if (Owner.CertifyUnsat)
+      Certifier = std::make_unique<StreamCertifier>();
     rebuild();
   }
 
@@ -148,13 +218,13 @@ public:
     // Interruption is a portfolio-race mechanism and the portfolio
     // backend refuses proof capture, so the two never legitimately meet.
     bool WasInterrupted = Sat->interrupted();
-    assert(!(WasInterrupted && (Stream || Validator)) &&
+    assert(!(WasInterrupted && Stream) &&
            "interrupted solve under proof capture");
     // The goal-end marker must precede the retirement unit below: a
     // checker validates the UNSAT core against the database as of the
     // answer, and the retirement unit {¬act} is only sound input *after*
     // the goal has been closed (it would otherwise trivialize the slice).
-    if ((Stream || Validator) && !WasInterrupted)
+    if (Stream && !WasInterrupted)
       finishGoalProof(IsSat, GoalId);
     if (IsSat && M) {
       // Read the model before touching the clause DB again: adding the
@@ -242,7 +312,7 @@ public:
     // soft-retirement ablation has no guards at all — both degrade to the
     // per-goal path so answers, certificates and retirement behavior stay
     // byte-identical to unbatched solving.
-    if (Goals.size() < 2 || Stream || Validator || !HardRetire) {
+    if (Goals.size() < 2 || Stream || !HardRetire) {
       Out.assign(Goals.size(), SatResult::Sat);
       for (size_t I = 0; I < Goals.size(); ++I)
         Out[I] = checkSatUnderPremises(Goals[I], nullptr);
@@ -353,41 +423,22 @@ public:
   }
 
 private:
-  /// Closes the current goal in the proof stream (or in the inline
-  /// validator): on UNSAT the core is the negation of the failed
-  /// assumptions — with the session's single activation assumption that
-  /// is {¬act}, or empty when the database itself became unsatisfiable —
-  /// and in validate mode any accumulated stream failure aborts here,
-  /// matching the one-shot CertifyUnsat contract.
+  /// Closes the current goal in the proof stream: on UNSAT the core is
+  /// the negation of the failed assumptions — with the session's single
+  /// activation assumption that is {¬act}, or empty when the database
+  /// itself became unsatisfiable. Under CertifyUnsat the goal's events
+  /// are checked before its answer is returned.
   void finishGoalProof(bool IsSat, uint64_t GoalId) {
     if (IsSat) {
-      if (Stream)
-        Stream->goalEndSat(GoalId);
+      Stream->goalEndSat(GoalId);
     } else {
       std::vector<Lit> Core;
       for (Lit A : Sat->failedAssumptions())
         Core.push_back(~A);
-      if (Stream)
-        Stream->goalEndUnsat(GoalId, std::move(Core));
-      else
-        Validator->goalEndUnsat(Core);
+      Stream->goalEndUnsat(GoalId, std::move(Core));
     }
-    if (!Validator)
-      return;
-    if (!Validator->ok()) {
-      std::fprintf(stderr,
-                   "leapfrog: session DRUP slice validation failed: %s\n",
-                   Validator->error().c_str());
-      std::abort();
-    }
-    const StreamingProofChecker::Stats &PS = Validator->stats();
-    SolverStats &St = Owner.Stats;
-    St.ProofLemmas += PS.LemmasChecked - HarvestedProofLemmas;
-    St.ProofMicros += PS.Micros - HarvestedProofMicros;
-    HarvestedProofLemmas = PS.LemmasChecked;
-    HarvestedProofMicros = PS.Micros;
-    if (!IsSat)
-      ++St.CertifiedUnsat;
+    if (Certifier)
+      Certifier->feed(*Stream, /*Drop=*/Stream == &OwnStream, Owner.Stats);
   }
 
   /// Blasts one premise into the live solver, timing it into TotalMicros:
@@ -408,15 +459,10 @@ private:
   /// clauses (which are consequences, never constraints).
   void rebuild() {
     harvestSatStats();
-    // A rebuild starts a fresh solver incarnation: the stream (and the
-    // inline validator's database) must reset before the re-blasted
-    // premises arrive as new inputs.
-    if (Built) {
-      if (Stream)
-        Stream->restart();
-      if (Validator)
-        Validator->restart();
-    }
+    // A rebuild starts a fresh solver incarnation: the stream must reset
+    // before the re-blasted premises arrive as new inputs.
+    if (Built && Stream)
+      Stream->restart();
     Sat = std::make_unique<SatSolver>();
     Sat->setReducePolicy(Owner.SessionReduce);
     // Portfolio cancellation: the owner's Stop flag reaches every CDCL
@@ -424,8 +470,6 @@ private:
     Sat->setInterruptFlag(&Owner.Stop);
     if (Stream)
       Sat->setProofSink(Stream);
-    else if (Validator)
-      Sat->setProofSink(Validator.get());
     Blaster = std::make_unique<BitBlaster>(*Sat);
     AssertedKeys.clear();
     PremiseClauses = 0;
@@ -494,16 +538,15 @@ private:
   size_t ReportedClauses = 0; ///< TotalSatVars/TotalSatClauses.
   uint64_t HarvestedDeleted = 0;    ///< SAT-stat prefixes already folded
   uint64_t HarvestedReduceRuns = 0; ///< into the owner's SolverStats.
-  /// Proof capture/validation state. At most one of Stream/Validator is
-  /// set: Stream records into the owner's attached ProofLog (offline
-  /// checking, certificate serialization), Validator checks the same
-  /// event stream inline and aborts on the first failure.
+  /// Proof state. Stream is set under CertifyUnsat or an attached proof
+  /// log: it records into the log (certificate serialization) or, without
+  /// one, into OwnStream, whose events are dropped once checked. Under
+  /// CertifyUnsat, Certifier checks each goal's events as it closes.
   ProofStream *Stream = nullptr;
-  std::unique_ptr<StreamingProofChecker> Validator;
+  ProofStream OwnStream;
+  std::unique_ptr<StreamCertifier> Certifier;
   bool Built = false; ///< rebuild() has run at least once (restarts since
                       ///< then are recorded as stream Restart events).
-  uint64_t HarvestedProofLemmas = 0; ///< Validator-stat prefixes already
-  uint64_t HarvestedProofMicros = 0; ///< folded into the owner's stats.
 };
 
 std::unique_ptr<SmtSolver::IncrementalSession>
@@ -526,9 +569,9 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   OneShot.Enabled = false;
   Sat.setReducePolicy(OneShot);
   Sat.setInterruptFlag(&Stop);
-  DratProof Proof;
+  ProofStream Raw;
   if (CertifyUnsat || CaptureLog)
-    Sat.setProofLog(&Proof);
+    Sat.setProofSink(&Raw);
   BitBlaster Blaster(Sat);
   Blaster.assertFormula(F);
   bool IsSat = Sat.solve();
@@ -539,36 +582,23 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   // discards it after checking interrupted().
   bool WasInterrupted = Sat.interrupted();
 
-  if (!IsSat && CertifyUnsat && !WasInterrupted) {
-    obs::StopWatch ProofWatch;
-    DratChecker Checker;
-    std::string Error;
-    if (!Checker.check(Proof, &Error)) {
-      // A proof that does not replay means the solver's UNSAT answer is
-      // unsubstantiated — exactly the soundness hole certification exists
-      // to close. There is no meaningful recovery.
-      std::fprintf(stderr, "leapfrog: DRUP proof replay failed: %s\n",
-                   Error.c_str());
-      std::abort();
-    }
-    ++Stats.CertifiedUnsat;
-    Stats.ProofLemmas += Proof.Lemmas.size();
-    Stats.ProofMicros += ProofWatch.elapsedMicros();
-  }
-
-  if (!IsSat && CaptureLog && !WasInterrupted) {
+  if (!IsSat && (CertifyUnsat || CaptureLog) && !WasInterrupted) {
     // Record the whole one-shot solve as a single unguarded goal: inputs
-    // first, then the lemmas (RUP is monotone in the database, so the
-    // lost interleaving with normalization-time lemmas is harmless), and
-    // an empty core — an UNSAT solve always ends by logging the empty
-    // lemma, so the replayed database is conflicting at the root.
-    ProofStream &Str = CaptureLog->newStream();
+    // first, then the lemmas (RUP is monotone in the database and a
+    // one-shot solve deletes nothing, so the lost interleaving with
+    // normalization-time lemmas is harmless), and an empty core — an
+    // UNSAT solve always ends by logging the empty lemma, so the checked
+    // database is conflicting at the root.
+    ProofStream Local;
+    ProofStream &Str = CaptureLog ? CaptureLog->newStream() : Local;
     uint64_t Id = Str.goalBegin(/*ActVar=*/-1);
-    for (const std::vector<Lit> &C : Proof.Inputs)
-      Str.onInput(C);
-    for (const std::vector<Lit> &C : Proof.Lemmas)
-      Str.onLemma(C);
+    for (ProofEvent::Kind K : {ProofEvent::Kind::Input, ProofEvent::Kind::Lemma})
+      for (ProofEvent &E : Raw.Events)
+        if (E.K == K)
+          Str.Events.push_back(std::move(E));
     Str.goalEndUnsat(Id, {});
+    if (CertifyUnsat)
+      StreamCertifier().feed(Str, /*Drop=*/false, Stats);
   }
 
   uint64_t Micros = Watch.elapsedMicros();

@@ -57,9 +57,10 @@ struct SolverStats {
   uint64_t MaxMicros = 0;
   std::vector<uint64_t> QueryMicros; ///< Per-query latencies.
   /// Proof-certification counters (BitBlastSolver with CertifyUnsat).
-  uint64_t CertifiedUnsat = 0; ///< UNSAT answers validated by DratChecker.
-  uint64_t ProofLemmas = 0;    ///< Total lemmas across checked proofs.
-  uint64_t ProofMicros = 0;    ///< Time spent replaying proofs.
+  uint64_t CertifiedUnsat = 0; ///< UNSAT answers checked in-process by
+                               ///< cert::StreamChecker.
+  uint64_t ProofLemmas = 0;    ///< Lemma events it checked.
+  uint64_t ProofMicros = 0;    ///< Time spent checking them.
   /// Incremental-session counters (SmtSolver::openSession).
   uint64_t SessionsOpened = 0;
   uint64_t SessionQueries = 0;   ///< Queries answered through a session.
@@ -252,12 +253,11 @@ public:
   /// are bit-blasted once (deduplicated by a structural-hash cache) and
   /// goals are guarded by fresh activation literals solved under
   /// assumptions, so learned clauses, watch lists and VSIDS/phase state
-  /// carry over between queries. Certification no longer forces the
-  /// monolithic fallback: with CertifyUnsat (or an attached proof log)
-  /// the session emits per-goal DRUP slices under each goal's activation
-  /// scope — deletions are part of the stream, so reduceDB and goal GC
-  /// stay legal — validated in-process by a StreamingProofChecker, or
-  /// recorded into the attached ProofLog for certificate serialization.
+  /// carry over between queries. With CertifyUnsat or an attached proof
+  /// log the session records per-goal DRUP slices under each goal's
+  /// activation scope — deletions are part of the stream, so reduceDB and
+  /// goal GC stay legal — into the attached ProofLog, and under
+  /// CertifyUnsat checks each goal's slice before answering.
   ///
   /// Session memory is bounded, not monotone: every goal's clauses
   /// (guard, Tseitin definitions, and any lemma derived from them) are
@@ -269,20 +269,20 @@ public:
   openSession(const SessionLimits &Limits) override;
   using SmtSolver::openSession;
 
-  /// When set, every UNSAT answer is accompanied by a DRUP proof and
-  /// validated before being reported; a failed validation aborts. One-shot
-  /// queries replay a DratProof through DratChecker (see Drat.h);
-  /// incremental sessions stream per-goal slices through a deletion-aware
-  /// StreamingProofChecker (see ProofLog.h) — and report genuine session
-  /// statistics, instead of the pre-certificate behavior of silently
-  /// degrading to monolithic solving. This removes the CDCL solver from
-  /// the trusted base, the "proof reconstruction" step the paper's §6.4
-  /// leaves as future work. SAT answers need no certification: the
-  /// checker's callers only act on validity (UNSAT of the negation), and
-  /// SAT answers carry a model that is checked against the formula by
-  /// construction of the bit-blaster's variable mapping. When a proof log
-  /// is attached (attachProofLog), streams are recorded for offline
-  /// checking instead of being validated inline.
+  /// When set, every UNSAT answer is accompanied by a DRUP proof stream
+  /// (ProofLog.h) that is checked before the answer is reported; a failed
+  /// check aborts. The checker is cert::StreamChecker, the one
+  /// leapfrog-certcheck runs on serialized certificates: a one-shot query
+  /// is checked as one unguarded goal, a session goal's slice as the goal
+  /// closes. This removes the CDCL solver from the trusted base, the
+  /// "proof reconstruction" step the paper's §6.4 leaves as future work.
+  /// SAT answers need no certification: the checker's callers only act on
+  /// validity (UNSAT of the negation), and SAT answers carry a model that
+  /// is checked against the formula by construction of the bit-blaster's
+  /// variable mapping. With a proof log attached as well, the checked
+  /// streams are the ones recorded into it; without one, checked events
+  /// are dropped, so certifying memory stays bounded by the live clause
+  /// database.
   bool CertifyUnsat = false;
 
   bool attachProofLog(ProofLog *Log) override {

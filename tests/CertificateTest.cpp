@@ -24,12 +24,14 @@
 #include "p4a/Parser.h"
 #include "parsers/CaseStudies.h"
 #include "smt/ProofLog.h"
+#include "smt/Solver.h"
 #include "support/Compress.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -330,7 +332,7 @@ TEST(CertStream, EmitsVerifiableCertificate) {
 }
 
 //===----------------------------------------------------------------------===//
-// The adversarial tamper battery: seven distinct corruptions, each of
+// The adversarial tamper battery: ten distinct corruptions, each of
 // which the verifier must reject with a diagnostic locating the damage.
 // Zero acceptances allowed.
 //===----------------------------------------------------------------------===//
@@ -356,13 +358,18 @@ bool editFirstLine(std::string &Text,
   return false;
 }
 
-TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
+/// A fresh certificate of the speculative-loop study (Figure 1).
+CertifiedRun speculativeLoopRun() {
   p4a::Automaton L = parsers::mplsReference();
   p4a::Automaton R = parsers::mplsVectorized();
   CheckRequest Req = makeLanguageEquivalenceRequest(
       L, p4a::StateRef::normal(*L.findState("q1")), R,
       p4a::StateRef::normal(*R.findState("q3")), {});
-  CertifiedRun Run = runCertified(Req, "bitblast");
+  return runCertified(Req, "bitblast");
+}
+
+TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
+  CertifiedRun Run = speculativeLoopRun();
   ASSERT_TRUE(Run.Res.equivalent());
   const std::string &Good = Run.CertText;
   ASSERT_TRUE(cert::verifyCertificate(Good, {}).Ok);
@@ -476,6 +483,42 @@ TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
                            });
                      }});
 
+  // 8-10. Respell an integer field without changing its value: a doubled
+  // terminator, two literals glued together, an explicit '+'. A lenient
+  // reader would see the same clause; the format admits one spelling.
+  auto respellLemma =
+      [&](const std::function<bool(const std::string &)> &Pred,
+          const std::function<std::string(const std::string &)> &Edit) {
+        return [=](std::string &T) {
+          return editFirstLine(
+              T,
+              [&](const std::string &Ln) {
+                return startsWith(Ln, "l ") && Pred(Ln);
+              },
+              Edit);
+        };
+      };
+  Battery.push_back(
+      {"double-zero-terminator",
+       respellLemma([](const std::string &Ln) { return Ln.size() > 4; },
+                    [](const std::string &Ln) { return Ln + "0"; })});
+  Battery.push_back(
+      {"glued-literals",
+       respellLemma(
+           [](const std::string &Ln) {
+             return Ln.find(" -", 2) != std::string::npos;
+           },
+           [](const std::string &Ln) {
+             std::string Out = Ln;
+             Out.erase(Ln.find(" -", 2), 1);
+             return Out;
+           })});
+  Battery.push_back(
+      {"plus-sign",
+       respellLemma(
+           [](const std::string &Ln) { return Ln[2] != '-' && Ln[2] != '0'; },
+           [](const std::string &Ln) { return "l +" + Ln.substr(2); })});
+
   size_t Accepted = 0;
   for (const Tamper &Tm : Battery) {
     std::string Bad = Good;
@@ -504,6 +547,101 @@ TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
   }
 }
 
+/// Runs \p Bad through verifyCertificate and, when available, the binary;
+/// both must reject it with a located diagnostic containing \p Expect
+/// (exit 1 — not 0, and not a crash).
+void expectRejected(const std::string &Bad, const std::string &Expect,
+                    const std::string &Label) {
+  cert::VerifyResult V = cert::verifyCertificate(Bad, {});
+  EXPECT_FALSE(V.Ok) << Label << " was accepted";
+  EXPECT_EQ(V.Diagnostic.rfind("line ", 0), 0u)
+      << Label << ": diagnostic carries no location: " << V.Diagnostic;
+  EXPECT_NE(V.Diagnostic.find(Expect), std::string::npos)
+      << Label << ": " << V.Diagnostic;
+  int Exit = runCertcheckBinary(Bad);
+  if (Exit >= 0) {
+    EXPECT_EQ(Exit, 1) << Label << " through leapfrog-certcheck";
+  }
+}
+
+TEST(CertStream, NonCanonicalIntegerFieldsAreRejected) {
+  CertifiedRun Run = speculativeLoopRun();
+  ASSERT_TRUE(Run.Res.equivalent());
+  const std::string &Good = Run.CertText;
+  ASSERT_TRUE(cert::verifyCertificate(Good, {}).Ok);
+
+  // Every integer field, not only clause literals: goal ids, activation
+  // variables, stream and section counts. Each edit keeps the value.
+  struct Respell {
+    const char *Prefix, *From, *To;
+  } Cases[] = {
+      {"g ", "g ", "g +"},        {"g ", "g ", "g 0"},
+      {"u ", "u ", "u 0"},        {"e ", "e ", "e +"},
+      {"stream ", "stream ", "stream 0"},
+      {"streams ", "streams ", "streams +"},
+      {"headers ", "headers ", "headers 0"},
+      {"relation ", "relation ", "relation  "},
+      {"i ", " 0", " -0"},
+  };
+  for (const Respell &C : Cases) {
+    std::string Bad = Good;
+    ASSERT_TRUE(editFirstLine(
+        Bad,
+        [&](const std::string &Ln) { return Ln.rfind(C.Prefix, 0) == 0; },
+        [&](const std::string &Ln) {
+          std::string Out = Ln;
+          size_t At = C.From[0] == ' ' ? Out.rfind(C.From) : 0;
+          return Out.replace(At, std::strlen(C.From), C.To);
+        }))
+        << C.Prefix;
+    expectRejected(Bad, "malformed", std::string("respelled '") + C.Prefix +
+                                         "' record");
+  }
+
+  // A lone 0 stays valid: append a one-shot stream whose only input is
+  // the empty clause ("i 0") and which closes with an empty core.
+  std::string Ok = Good;
+  size_t M = 0;
+  ASSERT_TRUE(editFirstLine(
+      Ok, [](const std::string &Ln) { return Ln.rfind("streams ", 0) == 0; },
+      [&](const std::string &Ln) {
+        M = std::stoul(Ln.substr(8));
+        return "streams " + std::to_string(M + 1);
+      }));
+  ASSERT_TRUE(editFirstLine(
+      Ok, [](const std::string &Ln) { return Ln.rfind("trailer ", 0) == 0; },
+      [&](const std::string &Ln) {
+        size_t A = Ln.find(' ', 8), B = Ln.find(' ', A + 1);
+        return Ln.substr(0, A + 1) + std::to_string(M + 1) + Ln.substr(B);
+      }));
+  Ok.insert(Ok.find("\ntrailer ") + 1, "stream " + std::to_string(M) +
+                                          " 3\ng 1 0\ni 0\nu 1 0\nendstream\n");
+  cert::VerifyResult V = cert::verifyCertificate(Ok, {});
+  EXPECT_TRUE(V.Ok) << V.Diagnostic;
+}
+
+TEST(CertStream, DeepFormulaNestingIsRejectedNotFatal) {
+  // Without a depth bound, 100 000 nested "!(... & true)" in one conjunct
+  // overflow the verifier's recursive-descent stack (SIGSEGV, exit 139).
+  CertifiedRun Run = speculativeLoopRun();
+  ASSERT_TRUE(Run.Res.equivalent());
+  std::string Bad = Run.CertText;
+  const size_t N = 100000;
+  std::string Deep;
+  Deep.reserve(N * 10 + 4);
+  for (size_t K = 0; K < N; ++K)
+    Deep += "!(";
+  Deep += "true";
+  for (size_t K = 0; K < N; ++K)
+    Deep += " & true)";
+  ASSERT_TRUE(editFirstLine(
+      Bad, [](const std::string &Ln) { return Ln.rfind("c ", 0) == 0; },
+      [&](const std::string &Ln) {
+        return Ln.substr(0, Ln.find(" => ") + 4) + Deep;
+      }));
+  expectRejected(Bad, "nests deeper than", "deep nesting");
+}
+
 //===----------------------------------------------------------------------===//
 // Differential acceptance sweep: registry studies + the corpus pairs,
 // across backends. Every Equivalent verdict must carry a
@@ -525,6 +663,10 @@ void expectDecisionIdentical(const CheckRequest &Req, const CheckResult &A,
         << Label;
   }
 }
+
+/// The deepest formula nesting any sweep certificate reached, so the
+/// sweeps can pin cert::MaxFormulaDepth's margin over real certificates.
+size_t SweepFormulaDepth = 0;
 
 /// Runs every sweep configuration (backend {bitblast, smtlib:shim}) over
 /// \p Req, asserting that certified decisions are
@@ -574,7 +716,16 @@ void sweepOnePair(const std::string &Label, const CheckRequest &Req,
     cert::VerifyResult V = cert::verifyCertificate(Run.CertText, Pin);
     EXPECT_TRUE(V.Ok) << CfgLabel << ": " << V.Diagnostic;
     EXPECT_GT(V.Stats.Goals, 0u) << CfgLabel;
+    SweepFormulaDepth = std::max(SweepFormulaDepth, V.Stats.FormulaDepth);
   }
+}
+
+/// Real certificates must stay far below the verifier's nesting bound: a
+/// limit that a deeper-than-usual relation could reach would reject a
+/// genuine proof.
+void expectDepthMargin() {
+  EXPECT_GT(SweepFormulaDepth, 0u);
+  EXPECT_LE(SweepFormulaDepth * 10, cert::MaxFormulaDepth);
 }
 
 TEST(CertStream, AcceptanceSweepRegistryStudies) {
@@ -595,6 +746,7 @@ TEST(CertStream, AcceptanceSweepRegistryStudies) {
   // under every configuration (the floor counts the bitblast leg alone,
   // so it holds when the shim is absent too).
   EXPECT_GE(Equivalents, 4u);
+  expectDepthMargin();
 }
 
 TEST(CertStream, AcceptanceSweepCorpusPairs) {
@@ -657,6 +809,102 @@ TEST(CertStream, AcceptanceSweepCorpusPairs) {
   // verified certificate; the refuted/budgeted ones exercised the
   // no-certificate path. The floor counts the bitblast leg alone.
   EXPECT_GE(Equivalents, 8u);
+  expectDepthMargin();
+}
+
+//===----------------------------------------------------------------------===//
+// One checker, two modes: with in-process certification (CertifyUnsat) and
+// capture (Certify) both on, the solver's in-process counts must equal
+// what certcheck reports on the emitted artifact — the same events went
+// through the same cert::StreamChecker.
+//===----------------------------------------------------------------------===//
+
+/// Runs leapfrog-certcheck on \p CertText and returns its acceptance
+/// summary line, or "" when the binary is unavailable or rejects.
+std::string certcheckSummary(const std::string &CertText) {
+  std::string Bin = certcheckPath();
+  if (Bin.empty())
+    return "";
+  std::string In = ::testing::TempDir() + "certcheck_agree.lfc";
+  std::string Out = ::testing::TempDir() + "certcheck_agree.txt";
+  {
+    std::ofstream F(In, std::ios::binary | std::ios::trunc);
+    F.write(CertText.data(), std::streamsize(CertText.size()));
+  }
+  int Status = std::system((Bin + " " + In + " > " + Out).c_str());
+  std::string Summary;
+  bool Read = readFileAll(Out, Summary);
+  std::remove(In.c_str());
+  std::remove(Out.c_str());
+  bool Accepted = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
+  return Read && Accepted ? Summary : "";
+}
+
+/// The value of " <Key>N" in a certcheck summary line.
+uint64_t summaryField(const std::string &Summary, const std::string &Key) {
+  size_t At = Summary.find(" " + Key);
+  EXPECT_NE(At, std::string::npos) << Key << " missing from: " << Summary;
+  return At == std::string::npos
+             ? 0
+             : std::stoull(Summary.substr(At + 1 + Key.size()));
+}
+
+TEST(CertStream, InProcessCertificationAgreesWithCertcheck) {
+  std::string Dir = corpusDir();
+  if (Dir.empty())
+    GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
+  // The registry twins and the protocol studies' optimized variants: the
+  // corpus pairs that verify.
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"state_rearrangement_left.lfp", "state_rearrangement_right.lfp"},
+      {"header_initialization_left.lfp", "header_initialization_right.lfp"},
+      {"speculative_loop_left.lfp", "speculative_loop_right.lfp"},
+      {"variable_length_parsing_left.lfp",
+       "variable_length_parsing_right.lfp"},
+      {"ipv6_chain.lfp", "ipv6_chain_opt.lfp"},
+      {"quic_varint.lfp", "quic_varint_opt.lfp"},
+      {"tlv_fanin.lfp", "tlv_fanin_opt.lfp"},
+      {"tunnel.lfp", "tunnel_opt.lfp"},
+      {"vlan_qinq.lfp", "vlan_qinq_opt.lfp"},
+  };
+  for (const auto &[LName, RName] : Pairs) {
+    std::string Label = std::string(LName) + " vs " + RName;
+    std::string LText, RText;
+    ASSERT_TRUE(readFileAll(Dir + "/" + LName, LText)) << Label;
+    ASSERT_TRUE(readFileAll(Dir + "/" + RName, RText)) << Label;
+    CheckRequest Req;
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(core::checkRequestFromSurface(LText, RText, CheckOptions(),
+                                              Req, Errors, LName, RName))
+        << Label;
+
+    EngineConfig Cfg;
+    Cfg.Certify = true;
+    std::string Err;
+    std::unique_ptr<Engine> E = Engine::create(Cfg, &Err);
+    ASSERT_NE(E, nullptr) << Err;
+    auto *BitBlast = dynamic_cast<smt::BitBlastSolver *>(&E->solver());
+    ASSERT_NE(BitBlast, nullptr);
+    BitBlast->CertifyUnsat = true;
+    CheckResult Res = E->check(Req);
+    ASSERT_TRUE(Res.equivalent()) << Label << ": " << Res.FailureReason;
+    std::string Text =
+        serializeCertificate(Req.Left, Req.Right, Res.Certificate,
+                             Res.Proof.get(), requestFingerprint(Req).hex());
+
+    const smt::SolverStats &St = BitBlast->stats();
+    EXPECT_GT(St.CertifiedUnsat, 0u) << Label;
+    cert::VerifyResult V = cert::verifyCertificate(Text, {});
+    ASSERT_TRUE(V.Ok) << Label << ": " << V.Diagnostic;
+    EXPECT_EQ(St.CertifiedUnsat, V.Stats.UnsatGoals) << Label;
+    EXPECT_EQ(St.ProofLemmas, V.Stats.Lemmas) << Label;
+    std::string Summary = certcheckSummary(Text);
+    if (!certcheckPath().empty()) {
+      ASSERT_FALSE(Summary.empty()) << Label << ": certcheck rejected";
+      EXPECT_EQ(St.CertifiedUnsat, summaryField(Summary, "unsat=")) << Label;
+      EXPECT_EQ(St.ProofLemmas, summaryField(Summary, "lemmas=")) << Label;
+    }
+  }
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- DratTest.cpp - DRUP proof logging/checking tests --------------------===//
+//===- DratTest.cpp - DRUP proof checking tests ---------------------------===//
 //
 // Part of leapfrog-cc, a C++ reproduction of "Leapfrog: Certified Equivalence
 // for Protocol Parsers" (PLDI 2022).
@@ -7,16 +7,18 @@
 ///
 /// \file
 /// Tests for the proof-reconstruction layer (paper §6.4's future-work item):
-/// UNSAT answers of the CDCL solver must come with DRUP proofs that an
-/// independent checker accepts, bogus proofs must be rejected, and the
-/// certifying solver must carry a full equivalence-checking run.
+/// UNSAT answers of the CDCL solver must come with DRUP proofs that the one
+/// RUP checker, cert::StreamChecker, accepts; bogus proofs must be
+/// rejected; and the certifying solver must carry a full
+/// equivalence-checking run.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Drat.h"
+#include "cert/StreamCheck.h"
 
 #include "core/Checker.h"
 #include "parsers/CaseStudies.h"
+#include "smt/ProofLog.h"
 #include "smt/Solver.h"
 
 #include <gtest/gtest.h>
@@ -29,38 +31,88 @@ namespace {
 Lit pos(Var V) { return Lit::mk(V, false); }
 Lit neg(Var V) { return Lit::mk(V, true); }
 
-/// Solves with proof logging and returns the proof; asserts the expected
-/// verdict on the way.
-DratProof proveUnsat(size_t NumVars,
-                     const std::vector<std::vector<Lit>> &Clauses) {
+/// A one-shot DRUP proof in DIMACS literals: the input clauses, then the
+/// derived lemmas in derivation order.
+struct Proof {
+  std::vector<std::vector<int>> Inputs;
+  std::vector<std::vector<int>> Lemmas;
+
+  bool claimsUnsat() const {
+    for (const std::vector<int> &L : Lemmas)
+      if (L.empty())
+        return true;
+    return false;
+  }
+};
+
+std::vector<int> dimacs(const std::vector<Lit> &C) {
+  std::vector<int> Out;
+  for (Lit L : C)
+    Out.push_back(L.negated() ? -(L.var() + 1) : L.var() + 1);
+  return Out;
+}
+
+/// Checks \p P the way a one-shot certified solve is checked: one
+/// unguarded goal holding the inputs and the lemmas, closed UNSAT with an
+/// empty core. Returns "" on acceptance, else the first diagnostic.
+std::string check(const Proof &P, cert::StreamChecker &C) {
+  std::string Why = C.goalBegin(1, 0);
+  for (size_t I = 0; Why.empty() && I < P.Inputs.size(); ++I)
+    Why = C.input(P.Inputs[I]);
+  for (size_t I = 0; Why.empty() && I < P.Lemmas.size(); ++I)
+    Why = C.lemma(P.Lemmas[I]);
+  if (Why.empty())
+    Why = C.goalUnsat(1, {});
+  if (Why.empty())
+    Why = C.finish();
+  return Why;
+}
+
+std::string check(const Proof &P) {
+  cert::StreamChecker C;
+  return check(P, C);
+}
+
+/// Solves \p Clauses with a proof sink attached; returns the solver's
+/// answer and, in \p P, the recorded inputs and lemmas.
+bool solveLogged(size_t NumVars, const std::vector<std::vector<Lit>> &Clauses,
+                 Proof &P) {
   SatSolver S;
-  DratProof P;
-  S.setProofLog(&P);
+  ProofStream Stream;
+  S.setProofSink(&Stream);
   for (size_t I = 0; I < NumVars; ++I)
     (void)S.newVar();
   bool Ok = true;
   for (const auto &C : Clauses)
     Ok = S.addClause(C) && Ok;
-  EXPECT_FALSE(Ok && S.solve()) << "instance is unexpectedly satisfiable";
+  bool IsSat = Ok && S.solve();
+  for (const ProofEvent &E : Stream.Events) {
+    if (E.K == ProofEvent::Kind::Input)
+      P.Inputs.push_back(dimacs(E.Lits));
+    else if (E.K == ProofEvent::Kind::Lemma)
+      P.Lemmas.push_back(dimacs(E.Lits));
+  }
+  return IsSat;
+}
+
+Proof proveUnsat(size_t NumVars, const std::vector<std::vector<Lit>> &Clauses) {
+  Proof P;
+  EXPECT_FALSE(solveLogged(NumVars, Clauses, P))
+      << "instance is unexpectedly satisfiable";
   return P;
 }
 
 TEST(Drat, ContradictoryUnitsProduceCheckingProof) {
-  DratProof P = proveUnsat(1, {{pos(0)}, {neg(0)}});
+  Proof P = proveUnsat(1, {{pos(0)}, {neg(0)}});
   EXPECT_TRUE(P.claimsUnsat());
-  DratChecker C;
-  std::string Error;
-  EXPECT_TRUE(C.check(P, &Error)) << Error;
+  EXPECT_EQ(check(P), "");
 }
 
 TEST(Drat, PropagationConflictProducesCheckingProof) {
   // a; a->b; a->~b — conflict is reached by pure propagation.
-  DratProof P =
-      proveUnsat(2, {{pos(0)}, {neg(0), pos(1)}, {neg(0), neg(1)}});
+  Proof P = proveUnsat(2, {{pos(0)}, {neg(0), pos(1)}, {neg(0), neg(1)}});
   EXPECT_TRUE(P.claimsUnsat());
-  DratChecker C;
-  std::string Error;
-  EXPECT_TRUE(C.check(P, &Error)) << Error;
+  EXPECT_EQ(check(P), "");
 }
 
 TEST(Drat, PigeonHoleProofChecks) {
@@ -73,113 +125,121 @@ TEST(Drat, PigeonHoleProofChecks) {
     for (int I = 0; I < 4; ++I)
       for (int J = I + 1; J < 4; ++J)
         Clauses.push_back({neg(P(I, H)), neg(P(J, H))});
-  DratProof Proof = proveUnsat(12, Clauses);
-  EXPECT_TRUE(Proof.claimsUnsat());
-  EXPECT_GT(Proof.Lemmas.size(), 1u) << "expected learnt clauses";
-  DratChecker C;
-  std::string Error;
-  EXPECT_TRUE(C.check(Proof, &Error)) << Error;
-  EXPECT_GT(C.stats().LemmasChecked, 0u);
+  Proof Pr = proveUnsat(12, Clauses);
+  EXPECT_TRUE(Pr.claimsUnsat());
+  EXPECT_GT(Pr.Lemmas.size(), 1u) << "expected learnt clauses";
+  cert::StreamChecker C;
+  EXPECT_EQ(check(Pr, C), "");
+  EXPECT_EQ(C.stats().Lemmas, Pr.Lemmas.size());
+  EXPECT_EQ(C.stats().UnsatGoals, 1u);
 }
 
 TEST(Drat, SatInstanceClaimsNoUnsat) {
-  SatSolver S;
-  DratProof P;
-  S.setProofLog(&P);
-  Var A = S.newVar(), B = S.newVar();
-  S.addClause(pos(A), pos(B));
-  S.addClause(neg(A), pos(B));
-  EXPECT_TRUE(S.solve());
+  Proof P;
+  EXPECT_TRUE(solveLogged(2, {{pos(0), pos(1)}, {neg(0), pos(1)}}, P));
   EXPECT_FALSE(P.claimsUnsat());
+  // Presenting its log as an UNSAT proof anyway must fail.
+  EXPECT_NE(check(P), "");
 }
 
 TEST(Drat, ProofWithoutEmptyClauseIsRejected) {
-  DratProof P;
-  P.Inputs = {{pos(0), pos(1)}};
-  P.Lemmas = {};
-  DratChecker C;
-  std::string Error;
-  EXPECT_FALSE(C.check(P, &Error));
-  EXPECT_NE(Error.find("no empty clause"), std::string::npos) << Error;
+  Proof P;
+  P.Inputs = {{1, 2}};
+  std::string Why = check(P);
+  EXPECT_NE(Why.find("claims root unsatisfiability"), std::string::npos)
+      << Why;
 }
 
 TEST(Drat, NonRupLemmaIsRejected) {
   // {a ∨ b} does not entail {a}; a proof asserting it must fail.
-  DratProof P;
-  P.Inputs = {{pos(0), pos(1)}};
-  P.Lemmas = {{pos(0)}, {}};
-  DratChecker C;
-  std::string Error;
-  EXPECT_FALSE(C.check(P, &Error));
-  EXPECT_NE(Error.find("not RUP"), std::string::npos) << Error;
+  Proof P;
+  P.Inputs = {{1, 2}};
+  P.Lemmas = {{1}, {}};
+  std::string Why = check(P);
+  EXPECT_NE(Why.find("lemma is not a reverse-unit-propagation"),
+            std::string::npos)
+      << Why;
 }
 
 TEST(Drat, UnjustifiedEmptyClauseIsRejected) {
   // The database is satisfiable; claiming the empty clause is bogus.
-  DratProof P;
-  P.Inputs = {{pos(0), pos(1)}};
+  Proof P;
+  P.Inputs = {{1, 2}};
   P.Lemmas = {{}};
-  DratChecker C;
-  std::string Error;
-  EXPECT_FALSE(C.check(P, &Error));
-  EXPECT_NE(Error.find("empty clause"), std::string::npos) << Error;
+  std::string Why = check(P);
+  EXPECT_NE(Why.find("empty lemma"), std::string::npos) << Why;
 }
 
 TEST(Drat, TamperedLemmaLiteralIsCaught) {
-  // Take a genuine proof and flip a literal inside the first real lemma;
-  // the mutated lemma (or a later one depending on it) must fail RUP.
+  // Take a genuine proof and replace its first real lemma with an
+  // unjustified unit over a fresh variable; it must fail RUP.
   std::vector<std::vector<Lit>> Clauses = {
       {pos(0), pos(1)}, {pos(0), neg(1)}, {neg(0), pos(1)}, {neg(0), neg(1)}};
-  DratProof P = proveUnsat(2, Clauses);
+  Proof P = proveUnsat(2, Clauses);
   ASSERT_TRUE(P.claimsUnsat());
-  DratChecker C;
-  std::string Error;
-  ASSERT_TRUE(C.check(P, &Error)) << Error;
+  ASSERT_EQ(check(P), "");
 
-  // Replace every lemma with an unjustified unit over a fresh variable.
-  DratProof Tampered = P;
+  Proof Tampered = P;
   bool Mutated = false;
   for (auto &L : Tampered.Lemmas) {
     if (!L.empty()) {
-      L = {pos(7)};
+      L = {8};
       Mutated = true;
       break;
     }
   }
   if (!Mutated)
     GTEST_SKIP() << "proof has only the empty clause; nothing to tamper";
-  EXPECT_FALSE(C.check(Tampered, &Error));
+  EXPECT_NE(check(Tampered), "");
 }
 
 TEST(Drat, TautologicalLemmaIsAccepted) {
   // x ∨ ¬x is vacuously RUP (assuming its negation is itself a conflict);
   // accepting it must not corrupt the remaining replay.
-  DratProof P;
-  P.Inputs = {{pos(0)}, {neg(0)}};
-  P.Lemmas = {{pos(1), neg(1)}, {}};
-  DratChecker C;
-  std::string Error;
-  EXPECT_TRUE(C.check(P, &Error)) << Error;
+  Proof P;
+  P.Inputs = {{1}, {-1}};
+  P.Lemmas = {{2, -2}, {}};
+  EXPECT_EQ(check(P), "");
 }
 
-TEST(Drat, TextualFormatIsDimacsLike) {
-  DratProof P;
-  P.Inputs = {{pos(0)}, {neg(0)}};
-  P.Lemmas = {{neg(1), pos(2)}, {}};
-  std::string Text = P.str();
-  EXPECT_NE(Text.find("c DRUP proof"), std::string::npos);
-  EXPECT_NE(Text.find("-2 3 0"), std::string::npos);
-  // The empty clause renders as a bare terminating zero.
-  EXPECT_NE(Text.find("\n0\n"), std::string::npos);
+TEST(Drat, DeletedClauseNoLongerJustifiesLemmas) {
+  // {a ∨ b}, {¬b ∨ c}: the lemma {a ∨ c} is RUP. After deleting {a ∨ b}
+  // it is not — deletions really shrink the working database.
+  for (bool Delete : {false, true}) {
+    cert::StreamChecker C;
+    ASSERT_EQ(C.input({1, 2}), "");
+    ASSERT_EQ(C.input({-2, 3}), "");
+    if (Delete) {
+      EXPECT_EQ(C.erase({2, 1}), ""); // matched as a literal multiset
+      EXPECT_EQ(C.stats().DeletionsSkipped, 0u);
+    }
+    EXPECT_EQ(C.lemma({1, 3}).empty(), !Delete);
+  }
 }
 
-TEST(Drat, SolveWithCheckedProofWrapper) {
-  DratProof P;
-  bool Sat = solveWithCheckedProof(
-      1, {{pos(0)}, {neg(0)}}, &P);
-  EXPECT_FALSE(Sat);
-  EXPECT_TRUE(P.claimsUnsat());
-  EXPECT_TRUE(solveWithCheckedProof(2, {{pos(0), pos(1)}}));
+TEST(Drat, RestartResetsTheDatabase) {
+  cert::StreamChecker C;
+  ASSERT_EQ(C.input({1}), "");
+  ASSERT_EQ(C.lemma({1, 2}), "");
+  ASSERT_EQ(C.restart(), "");
+  EXPECT_NE(C.lemma({1, 2}), "");
+}
+
+TEST(Drat, CertifyingOneShotSolveChecksItsProof) {
+  // The one-shot CertifyUnsat path: an UNSAT checkSat is checked as one
+  // unguarded goal; a SAT answer certifies nothing.
+  BitBlastSolver S;
+  S.CertifyUnsat = true;
+  BvTermRef X = BvTerm::mkVar("x", 2);
+  BvFormulaRef Eq =
+      BvFormula::mkEq(X, BvTerm::mkConst(Bitvector::fromString("01")));
+  BvFormulaRef Other =
+      BvFormula::mkEq(X, BvTerm::mkConst(Bitvector::fromString("10")));
+  EXPECT_EQ(S.checkSat(BvFormula::mkAnd(Eq, Other), nullptr),
+            SatResult::Unsat);
+  EXPECT_EQ(S.stats().CertifiedUnsat, 1u);
+  EXPECT_EQ(S.checkSat(Eq, nullptr), SatResult::Sat);
+  EXPECT_EQ(S.stats().CertifiedUnsat, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -214,22 +274,13 @@ TEST_P(DratFuzz, UnsatAnswersCarryCheckingProofs) {
     Clauses.push_back(std::move(C));
   }
 
-  SatSolver S;
-  DratProof P;
-  S.setProofLog(&P);
-  for (int V = 0; V < NumVars; ++V)
-    (void)S.newVar();
-  bool Ok = true;
-  for (const auto &C : Clauses)
-    Ok = S.addClause(C) && Ok;
-  if (Ok && S.solve())
+  Proof P;
+  if (solveLogged(size_t(NumVars), Clauses, P))
     return; // SAT: model correctness is covered by SatTest.
   ASSERT_TRUE(P.claimsUnsat())
       << "UNSAT answer without an empty-clause lemma, seed " << GetParam();
-  DratChecker C;
-  std::string Error;
-  EXPECT_TRUE(C.check(P, &Error))
-      << "seed " << GetParam() << ": " << Error;
+  std::string Why = check(P);
+  EXPECT_EQ(Why, "") << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, DratFuzz, ::testing::Range(0, 300));
@@ -247,7 +298,7 @@ TEST(Drat, CertifyingSolverCarriesEquivalenceRun) {
       parsers::mplsReference(), "q1", parsers::mplsVectorized(), "q3", O);
   EXPECT_TRUE(Res.equivalent());
   // Every validity answer is an UNSAT answer underneath, so certification
-  // must have fired and every proof must have replayed (a failure aborts).
+  // must have fired and every proof must have checked (a failure aborts).
   EXPECT_GT(Solver.stats().CertifiedUnsat, 0u);
   EXPECT_EQ(Solver.stats().CertifiedUnsat, Solver.stats().UnsatAnswers);
 }

@@ -437,15 +437,17 @@ TEST(Session, ModelCoversPremiseAndGoalVariables) {
   EXPECT_TRUE(evalFormula(BvFormula::mkEq(var("y", 2), lit("01")), Assign));
 }
 
-TEST(Session, CertifyingSolverFallsBackToMonolithic) {
+TEST(Session, CertifyingSessionChecksEntailmentSlice) {
   BitBlastSolver S;
   S.CertifyUnsat = true;
   auto Sess = S.openSession();
   BvTermRef X = var("x", 4);
   Sess->assertPremise(BvFormula::mkEq(X, lit("1010")));
   EXPECT_TRUE(Sess->isEntailed(BvFormula::mkEq(X, lit("1010"))));
-  // The UNSAT answer behind the entailment was proof-checked, which only
-  // the monolithic path can do (a DRUP proof spans one solve).
+  // The UNSAT answer behind the entailment was proof-checked in-process:
+  // the session's goal slice went through cert::StreamChecker before the
+  // answer returned. The premise blasts to units, which live on the root
+  // trail rather than in the clause database, so no clauses were reused.
   EXPECT_GE(S.stats().CertifiedUnsat, 1u);
   EXPECT_EQ(S.stats().ReusedClauses, 0u);
 }

@@ -101,7 +101,10 @@ void usage() {
       "                     seconds (default 60); on expiry the process\n"
       "                     is killed and the query answered in-repo\n"
       "  --certify-smt      require a DRUP proof for every UNSAT solver\n"
-      "                     answer, replayed by an independent checker.\n"
+      "                     answer, checked in-process before the answer\n"
+      "                     is used by the checker leapfrog-certcheck\n"
+      "                     runs; combines with --emit-cert, whose\n"
+      "                     streams are then the ones checked.\n"
       "                     With an smtlib backend the run is promoted to\n"
       "                     crosscheck so the in-repo reference leg\n"
       "                     produces the proofs the external solver\n"
@@ -324,7 +327,7 @@ int main(int Argc, char **Argv) {
 
   // DRUP certification needs the in-repo solver in the loop: a bare
   // external backend is promoted to the cross-checking pair, whose
-  // reference leg produces (and replays) the proofs.
+  // reference leg produces (and checks) the proofs.
   if (CertifySmt && !EngineCfg.Backend.compare(0, 7, "smtlib:"))
     EngineCfg.Backend = "crosscheck:" + EngineCfg.Backend.substr(7);
   EngineCfg.Certify = Options.Certify;
