@@ -18,20 +18,58 @@ using namespace leapfrog::cert;
 // A deletion-aware RUP database over DIMACS literals, written against the
 // DRUP literature and sharing nothing with smt/. Literals are nonzero ints;
 // variable v is |l|, sign is polarity.
+//
+// The database works on dense literals: each DIMACS variable is renamed,
+// on first mention, to the next unused index. Memory therefore follows
+// the number of distinct variables a stream mentions, not the magnitude
+// of the largest one — a stream is untrusted input, and one
+// `i -1073741823 0` line would otherwise size every array by a billion.
+// Renaming is a bijection that keeps signs, so RUP, unit propagation and
+// the multiset match of deletions are unchanged by it.
 //===----------------------------------------------------------------------===//
 
 class StreamChecker::RupDb {
 public:
   bool RootConflict = false;
 
-  /// Adds a clause to the database, propagating to saturation. Units go
-  /// straight to the root trail (they are never deletion targets — the
-  /// solver only deletes stored clauses, which are always binary-plus).
+  /// \p C over dense literals, naming any variable not seen before. The
+  /// result lives in a buffer the next rename overwrites.
+  const std::vector<int> &rename(const std::vector<int> &C) {
+    std::vector<int> &D = Renamed;
+    D.clear();
+    for (int L : C) {
+      int &Slot = Dense[std::abs(L)]; // 0 = not named yet
+      if (Slot == 0) {
+        Slot = int(Assign.size());
+        Assign.push_back(0);
+        Watch.resize(Watch.size() + 2);
+      }
+      D.push_back(L > 0 ? Slot : -Slot);
+    }
+    return D;
+  }
+
+  /// Like rename, but null when \p C mentions a variable never seen —
+  /// no stored clause can match it then.
+  const std::vector<int> *renameKnown(const std::vector<int> &C) {
+    std::vector<int> &D = Renamed;
+    D.clear();
+    for (int L : C) {
+      auto It = Dense.find(std::abs(L));
+      if (It == Dense.end())
+        return nullptr;
+      D.push_back(L > 0 ? It->second : -It->second);
+    }
+    return &D;
+  }
+
+  /// Adds a (renamed) clause to the database, propagating to saturation.
+  /// Units go straight to the root trail (they are never deletion targets
+  /// — the solver only deletes stored clauses, which are always
+  /// binary-plus).
   void add(const std::vector<int> &C) {
     if (RootConflict)
       return;
-    for (int L : C)
-      growTo(std::abs(L));
     if (C.empty()) {
       RootConflict = true;
       return;
@@ -58,15 +96,13 @@ public:
     }
   }
 
-  /// True iff the clause is a reverse-unit-propagation consequence of the
-  /// live database. Leaves the root trail unchanged. A literal already
-  /// true at the root makes the clause implied outright; this also covers
-  /// tautologies (x ∨ ¬x).
+  /// True iff the (renamed) clause is a reverse-unit-propagation
+  /// consequence of the live database. Leaves the root trail unchanged. A
+  /// literal already true at the root makes the clause implied outright;
+  /// this also covers tautologies (x ∨ ¬x).
   bool isRup(const std::vector<int> &C) {
     if (RootConflict)
       return true;
-    for (int L : C)
-      growTo(std::abs(L));
     size_t Mark = Trail.size();
     bool Conflict = false;
     for (int L : C) {
@@ -89,11 +125,12 @@ public:
     return Conflict;
   }
 
-  /// Removes the stored clause matching \p C as a literal multiset.
-  /// Returns false when no live clause matches (the caller skips the
-  /// deletion — keeping a clause only strengthens the database). Root
-  /// facts a deleted clause helped derive stay: they are consequences of
-  /// the inputs seen so far, and deletion never retracts an input.
+  /// Removes the stored clause matching the (renamed) \p C as a literal
+  /// multiset. Returns false when no live clause matches (the caller
+  /// skips the deletion — keeping a clause only strengthens the
+  /// database). Root facts a deleted clause helped derive stay: they are
+  /// consequences of the inputs seen so far, and deletion never retracts
+  /// an input.
   bool erase(const std::vector<int> &C) {
     if (C.size() < 2)
       return false;
@@ -134,13 +171,6 @@ private:
     return K;
   }
 
-  void growTo(int Var) {
-    if (int(Assign.size()) <= Var)
-      Assign.resize(size_t(Var) + 1, 0);
-    size_t Need = (size_t(Var) + 1) * 2;
-    if (Watch.size() < Need)
-      Watch.resize(Need);
-  }
   int val(int L) const {
     int A = Assign[std::abs(L)];
     return L > 0 ? A : -A;
@@ -201,9 +231,12 @@ private:
     return false;
   }
 
-  std::vector<int> Assign; // indexed by variable; 0/+1/-1
+  std::unordered_map<int, int> Dense; // DIMACS variable -> dense name
+  std::vector<int> Renamed;           // rename's result buffer
+  std::vector<int> Assign{0}; // indexed by dense variable (from 1); 0/+1/-1
   std::vector<Cl> Clauses;
-  std::vector<std::vector<int>> Watch; // indexed by idx(trigger literal)
+  // Indexed by idx(trigger literal).
+  std::vector<std::vector<int>> Watch = std::vector<std::vector<int>>(2);
   std::vector<int> Trail;
   size_t Head = 0;
   std::unordered_map<std::string, std::vector<int>> ByKey;
@@ -274,7 +307,7 @@ std::string StreamChecker::input(const std::vector<int> &Lits) {
            " mentions an activation variable but is missing the guard "
            "literal " +
            std::to_string(-OpenAct);
-  Db->add(Lits);
+  Db->add(Db->rename(Lits));
   ++S.Inputs;
   return "";
 }
@@ -282,19 +315,21 @@ std::string StreamChecker::input(const std::vector<int> &Lits) {
 std::string StreamChecker::lemma(const std::vector<int> &Lits) {
   noteVars(Lits);
   ++S.Lemmas;
-  if (!Db->isRup(Lits))
+  const std::vector<int> &D = Db->rename(Lits);
+  if (!Db->isRup(D))
     return Lits.empty() ? "empty lemma recorded, but the database is not "
                           "conflicting"
                         : "lemma is not a reverse-unit-propagation "
                           "consequence of the live clause database";
-  Db->add(Lits);
+  Db->add(D);
   return "";
 }
 
 std::string StreamChecker::erase(const std::vector<int> &Lits) {
   noteVars(Lits);
   ++S.Deletions;
-  if (!Db->erase(Lits))
+  const std::vector<int> *D = Db->renameKnown(Lits);
+  if (!D || !Db->erase(*D))
     ++S.DeletionsSkipped; // sound: the clause stays
   return "";
 }
@@ -313,7 +348,7 @@ std::string StreamChecker::goalUnsat(uint64_t Id,
              std::to_string(L) +
              ", expected only the negated activation literal " +
              std::to_string(-OpenAct);
-  if (!Db->isRup(Core))
+  if (!Db->isRup(Db->rename(Core)))
     return Core.empty() ? "goal " + std::to_string(Id) +
                               " claims root unsatisfiability, but the "
                               "database is not conflicting"

@@ -66,9 +66,11 @@ struct StreamStats {
 
 /// Checks one proof stream incrementally. Clauses are DIMACS literals:
 /// nonzero ints, variable |l|, negative when negated, each of magnitude at
-/// most MaxDimacsVar. Every event call returns "" when the event is
-/// accepted and an unlocated diagnostic when it is not; after a rejection
-/// the checker's state is unspecified and the caller stops.
+/// most MaxDimacsVar. Memory grows with the number of distinct variables
+/// mentioned, not with their magnitude. Every event call returns "" when
+/// the event is accepted and an unlocated diagnostic when it is not;
+/// after a rejection the checker's state is unspecified and the caller
+/// stops.
 class StreamChecker {
 public:
   /// The largest DIMACS variable a stream may mention.

@@ -78,11 +78,16 @@ ReplayResult core::replayCertificate(const p4a::Automaton &Left,
   }
 
   // Obligation 2 — consecution: ⋀R is closed under leap steps, i.e. every
-  // weakest precondition of every conjunct is again entailed by ⋀R.
+  // weakest precondition of every conjunct is again entailed by ⋀R. The
+  // predecessor index is rebuilt here from the recomputed domain, like
+  // the domain itself.
+  const PredecessorIndex Preds(Left, Right, Pairs, Cert.UseLeaps);
   size_t Fresh = 0;
   for (size_t I = 0; I < Cert.Relation.size(); ++I) {
-    std::vector<GuardedFormula> Wp = weakestPrecondition(
-        Left, Right, Cert.Relation[I], Pairs, Cert.UseLeaps, Fresh);
+    const GuardedFormula &Conjunct = Cert.Relation[I];
+    std::vector<GuardedFormula> Wp =
+        weakestPrecondition(Left, Right, Conjunct, Preds.of(Conjunct.TP),
+                            Cert.UseLeaps, Fresh);
     for (const GuardedFormula &G : Wp) {
       ++Result.ObligationsChecked;
       if (!entailed(Left, Right, Cert.Relation, G, Solver)) {

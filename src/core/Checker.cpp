@@ -127,6 +127,9 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
           ? computeReach(Left, Right, Spec.TP, Options.UseLeaps)
           : allPairs(Left, Right);
   St.ReachPairs = Pairs.size();
+  // WP(ψ) only visits the sources whose abstract step can land on ψ's
+  // guard; see PredecessorIndex for why that changes no formula.
+  const PredecessorIndex Preds(Left, Right, Pairs, Options.UseLeaps);
 
   // Frontier T: initial relation I, then extra user conjuncts (§7.1).
   std::deque<FrontierEntry> T;
@@ -334,8 +337,18 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
       }
     }
 
-    std::vector<GuardedFormula> Wp = weakestPrecondition(
-        Left, Right, Psi, Pairs, Options.UseLeaps, FreshCounter);
+    std::vector<GuardedFormula> Wp;
+    {
+      // Its own category, so leapfrog-trace's per-category totals stay
+      // disjoint (check.run encloses it).
+      obs::ScopedSpan WpSpan("check.wp", "wp");
+      obs::StopWatch WpWatch;
+      Wp = weakestPrecondition(Left, Right, Psi, Preds.of(Psi.TP),
+                               Options.UseLeaps, FreshCounter);
+      static obs::Histogram &WpMicros =
+          obs::metrics().histogram("check.wp_micros");
+      WpMicros.observe(WpWatch.elapsedMicros());
+    }
     if (Options.RecordTrace)
       Result.Trace.push_back(
           TraceStep{TraceStep::Kind::Extend, Psi, Wp.size()});

@@ -67,6 +67,24 @@ std::vector<Template> core::templateSuccessors(const p4a::Automaton &Aut,
   return Posts;
 }
 
+namespace {
+
+/// The joint abstract step from \p TP: k = ♯ (or 1 without leaps) bits on
+/// both sides, then every pair of side successors. In bit-level mode a
+/// side whose deficit exceeds 1 merely buffers; templateSuccessors
+/// handles both regimes uniformly given k ≤ deficit.
+template <typename Fn>
+void forEachSuccessor(const p4a::Automaton &Left, const p4a::Automaton &Right,
+                      TemplatePair TP, bool UseLeaps, Fn F) {
+  size_t K = UseLeaps ? leapSize(Left, Right, TP) : 1;
+  std::vector<Template> PostsR = templateSuccessors(Right, TP.R, K);
+  for (Template PL : templateSuccessors(Left, TP.L, K))
+    for (Template PR : PostsR)
+      F(TemplatePair{PL, PR});
+}
+
+} // namespace
+
 std::vector<TemplatePair> core::computeReach(const p4a::Automaton &Left,
                                              const p4a::Automaton &Right,
                                              TemplatePair Start,
@@ -86,12 +104,7 @@ std::vector<TemplatePair> core::computeReach(const p4a::Automaton &Left,
   while (!Work.empty()) {
     TemplatePair TP = Work.front();
     Work.pop_front();
-    size_t K = UseLeaps ? leapSize(Left, Right, TP) : 1;
-    // In bit-level mode a side whose deficit exceeds 1 merely buffers;
-    // templateSuccessors handles both regimes uniformly given K ≤ deficit.
-    for (Template PL : templateSuccessors(Left, TP.L, K))
-      for (Template PR : templateSuccessors(Right, TP.R, K))
-        Push(TemplatePair{PL, PR});
+    forEachSuccessor(Left, Right, TP, UseLeaps, Push);
   }
   return Order;
 }
@@ -103,4 +116,22 @@ std::vector<TemplatePair> core::allPairs(const p4a::Automaton &Left,
     for (Template TR : allTemplates(Right))
       Pairs.push_back(TemplatePair{TL, TR});
   return Pairs;
+}
+
+core::PredecessorIndex::PredecessorIndex(
+    const p4a::Automaton &Left, const p4a::Automaton &Right,
+    const std::vector<TemplatePair> &Sources, bool UseLeaps) {
+  for (TemplatePair Source : Sources)
+    // Side successors are duplicate-free, so each list gets a source at
+    // most once.
+    forEachSuccessor(Left, Right, Source, UseLeaps, [&](TemplatePair Post) {
+      Preds[Post].push_back(Source);
+    });
+}
+
+const std::vector<TemplatePair> &
+core::PredecessorIndex::of(TemplatePair Target) const {
+  static const std::vector<TemplatePair> None;
+  auto It = Preds.find(Target);
+  return It == Preds.end() ? None : It->second;
 }

@@ -20,6 +20,10 @@
 /// flavours, selected by a flag, implementing the "combined optimization"
 /// of §5.3.
 ///
+/// The same abstract step, read backwards, is the predecessor index that
+/// lets each weakest precondition visit only the sources that can land
+/// on the goal's guard (PredecessorIndex below).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LEAPFROG_CORE_REACHABILITY_H
@@ -27,6 +31,7 @@
 
 #include "logic/ConfRel.h"
 
+#include <unordered_map>
 #include <vector>
 
 namespace leapfrog {
@@ -69,6 +74,35 @@ std::vector<TemplatePair> computeReach(const p4a::Automaton &Left,
 /// reachability optimization is ablated).
 std::vector<TemplatePair> allPairs(const p4a::Automaton &Left,
                                    const p4a::Automaton &Right);
+
+/// The abstract edges of a source domain, indexed by target: for each
+/// template pair, the sources whose joint abstract step (the one
+/// computeReach takes — k = ♯ with leaps, k = 1 without) can land on it,
+/// each list in the order of the domain.
+///
+/// A source contributes to WP(ψ) only if both sides can land on ψ's
+/// guard, and the step over-approximates that test: a filling side's
+/// targets are Automaton::successors, a superset of every state whose
+/// transition condition is not False. So weakestPrecondition over
+/// of(ψ.TP) emits the same formulas, in the same order, with the same
+/// fresh-variable numbering as over the whole domain — it just skips the
+/// sources that cannot land there. The index is derived from the
+/// automata alone, so certificate replay rebuilds it from its own
+/// recomputed reach set and trusts nothing new.
+class PredecessorIndex {
+public:
+  PredecessorIndex(const p4a::Automaton &Left, const p4a::Automaton &Right,
+                   const std::vector<TemplatePair> &Sources, bool UseLeaps);
+
+  /// The sources that can step onto \p Target, in domain order; empty
+  /// when none can.
+  const std::vector<TemplatePair> &of(TemplatePair Target) const;
+
+private:
+  std::unordered_map<TemplatePair, std::vector<TemplatePair>,
+                     logic::TemplatePairHasher>
+      Preds;
+};
 
 } // namespace core
 } // namespace leapfrog

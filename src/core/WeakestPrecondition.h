@@ -67,10 +67,15 @@ PureRef transitionCondition(const logic::Ctx &C, Side S,
                             const std::vector<BitExprRef> &Headers,
                             p4a::StateRef Target);
 
-/// WP(Goal) restricted to the given source template pairs (callers pass
-/// the reach set, or the full product when reachability is ablated —
-/// Theorem 5.2). \p UseLeaps selects k = ♯ (Theorem 5.7) vs k = 1
-/// (Lemma 4.9). \p FreshCounter supplies fresh rigid-variable names.
+/// WP(Goal) restricted to the given source template pairs, in their order
+/// (Theorem 5.2 restricts WP to the reach set, or to the full product
+/// when reachability is ablated). Both callers — the checker and
+/// certificate replay — pass PredecessorIndex::of(Goal.TP) over that
+/// domain: the only sources that can yield a formula, so the result and
+/// \p FreshCounter match a scan of the whole domain (WpTest pins that).
+/// \p UseLeaps selects k = ♯ (Theorem 5.7) vs k = 1 (Lemma 4.9).
+/// \p FreshCounter supplies fresh rigid-variable names; it advances once
+/// per emitted formula.
 std::vector<GuardedFormula>
 weakestPrecondition(const p4a::Automaton &Left, const p4a::Automaton &Right,
                     const GuardedFormula &Goal,

@@ -232,9 +232,17 @@ private:
       return true;
     }
     case '[':
-      return array(Out);
-    case '{':
-      return object(Out);
+    case '{': {
+      if (Depth == Json::MaxDepth) {
+        Err = "arrays and objects nest deeper than " +
+              std::to_string(Json::MaxDepth) + " levels";
+        return false;
+      }
+      ++Depth;
+      bool Ok = Text[Pos] == '[' ? array(Out) : object(Out);
+      --Depth;
+      return Ok;
+    }
     default:
       return number(Out);
     }
@@ -473,6 +481,7 @@ private:
 
   const std::string &Text;
   size_t Pos = 0;
+  size_t Depth = 0; ///< Arrays and objects currently open.
   std::string Err;
 };
 

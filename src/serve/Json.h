@@ -118,9 +118,15 @@ public:
   /// control characters are escaped).
   std::string serialize() const;
 
+  /// Arrays and objects may nest at most this deep. The parser recurses
+  /// once per level, so without a bound one request line of 50 000 `[`
+  /// overflowed the stack and took the daemon down with every connection;
+  /// the protocol's own messages nest at most four levels.
+  static constexpr size_t MaxDepth = 64;
+
   /// Parses \p Text as one JSON value (surrounding whitespace allowed,
   /// trailing garbage is an error). Returns false and sets \p Error with
-  /// a byte offset on malformed input.
+  /// a byte offset on malformed input, including nesting past MaxDepth.
   static bool parse(const std::string &Text, Json &Out, std::string *Error);
 
 private:

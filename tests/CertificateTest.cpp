@@ -332,7 +332,7 @@ TEST(CertStream, EmitsVerifiableCertificate) {
 }
 
 //===----------------------------------------------------------------------===//
-// The adversarial tamper battery: ten distinct corruptions, each of
+// The adversarial tamper battery: eleven distinct corruptions, each of
 // which the verifier must reject with a diagnostic locating the damage.
 // Zero acceptances allowed.
 //===----------------------------------------------------------------------===//
@@ -518,6 +518,25 @@ TEST(CertStream, TamperBatteryRejectsEveryCorruption) {
        respellLemma(
            [](const std::string &Ln) { return Ln[2] != '-' && Ln[2] != '0'; },
            [](const std::string &Ln) { return "l +" + Ln.substr(2); })});
+
+  // 11. A huge variable: one input naming the largest DIMACS variable,
+  // inserted before the first guarded goal. The RUP database used to size
+  // its arrays by the largest index (an uncaught std::bad_alloc, exit
+  // 134); now the variable costs one slot, and the goal that follows is
+  // rejected because its activation variable is no longer fresh.
+  Battery.push_back({"huge-variable", [&](std::string &T) {
+                       size_t G = 0;
+                       while ((G = T.find("\ng ", G + 1)) !=
+                              std::string::npos) {
+                         size_t Eol = T.find('\n', G + 1);
+                         std::string Ln = T.substr(G + 1, Eol - G - 1);
+                         if (Ln.substr(Ln.rfind(' ')) == " 0")
+                           continue; // one-shot: no activation variable
+                         T.insert(G + 1, "i -1073741823 0\n");
+                         return true;
+                       }
+                       return false;
+                     }});
 
   size_t Accepted = 0;
   for (const Tamper &Tm : Battery) {

@@ -225,6 +225,31 @@ TEST(Drat, RestartResetsTheDatabase) {
   EXPECT_NE(C.lemma({1, 2}), "");
 }
 
+TEST(Drat, HugeVariableIndicesCostOnlyTheirNumber) {
+  // Two variables at the top of the DIMACS range: the database renames
+  // them to dense indices, so checking this stream allocates for two
+  // variables, not for a billion (which aborted with std::bad_alloc).
+  const int V = int(cert::StreamChecker::MaxDimacsVar), W = V - 1;
+  Proof P;
+  P.Inputs = {{V, W}, {-V, W}, {V, -W}, {-V, -W}};
+  P.Lemmas = {{W}, {}};
+  EXPECT_EQ(check(P), "");
+
+  // Renaming keeps the semantics: a non-RUP lemma is still rejected, and
+  // deletions still match literal multisets.
+  cert::StreamChecker NotRup;
+  ASSERT_EQ(NotRup.input({V, W}), "");
+  EXPECT_NE(NotRup.lemma({V}), "");
+
+  cert::StreamChecker C;
+  ASSERT_EQ(C.input({V, W}), "");
+  EXPECT_EQ(C.erase({-V, 7}), "");
+  EXPECT_EQ(C.stats().DeletionsSkipped, 1u); // variable 7 was never seen
+  EXPECT_EQ(C.erase({W, V}), "");
+  EXPECT_EQ(C.stats().DeletionsSkipped, 1u);
+  EXPECT_NE(C.lemma({V, W}), ""); // the deleted clause no longer helps
+}
+
 TEST(Drat, CertifyingOneShotSolveChecksItsProof) {
   // The one-shot CertifyUnsat path: an UNSAT checkSat is checked as one
   // unguarded goal; a SAT answer certifies nothing.

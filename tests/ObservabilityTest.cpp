@@ -207,8 +207,37 @@ serve::Json parseBalancedTrace(const std::string &ChromeJson) {
 // Passivity: tracing changes nothing the engine decides.
 //===----------------------------------------------------------------------===//
 
+/// Number of Extend steps in a recorded decision stream: each one is one
+/// weakest-precondition call (an early refutation stops before it and
+/// records no Extend).
+size_t extendSteps(const CheckResult &Res) {
+  return size_t(std::count_if(
+      Res.Trace.begin(), Res.Trace.end(),
+      [](const TraceStep &T) { return T.K == TraceStep::Kind::Extend; }));
+}
+
+/// Number of B events named \p Name in a parsed Chrome trace.
+size_t spanCount(const serve::Json &Doc, const std::string &Name) {
+  size_t N = 0;
+  for (const serve::Json &E : Doc.get("traceEvents").items())
+    if (E.getString("ph") == "B" && E.getString("name") == Name)
+      ++N;
+  return N;
+}
+
+uint64_t histogramCount(const std::string &Name) {
+  obs::MetricsSnapshot Snap = obs::metrics().snapshot();
+  auto It = Snap.Histograms.find(Name);
+  return It == Snap.Histograms.end() ? 0 : It->second.Count;
+}
+
 TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   obs::TraceSink Sink;
+  // Every WP call is timed (check.wp_micros, traced or not) and, when
+  // traced, spanned (check.wp): exactly one observation and one span
+  // per Extend.
+  uint64_t WpObservedBefore = histogramCount("check.wp_micros");
+  size_t ExtendsAll = 0, ExtendsTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     CheckOptions Options;
     // The CertificateTest sweep budgets: Applicability rows only need to
@@ -219,6 +248,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     CheckRequest Req = registryRequest(Study, Options);
 
     CertifiedRun Baseline = runCertified(Req);
+    ExtendsAll += extendSteps(Baseline.Res);
 
     // Traced runs share one sink across studies so the final trace also
     // exercises multi-run accumulation.
@@ -226,9 +256,14 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
       SinkGuard Guard(&Sink);
       CertifiedRun Traced = runCertified(Req);
       expectDecisionIdentical(Study.Name, Baseline, Traced);
+      ExtendsTraced += extendSteps(Traced.Res);
     }
   }
   ASSERT_GT(Sink.eventCount(), 0u);
+  ExtendsAll += ExtendsTraced;
+  EXPECT_GT(ExtendsTraced, 0u);
+  EXPECT_EQ(histogramCount("check.wp_micros") - WpObservedBefore,
+            ExtendsAll);
 
   // The accumulated trace must be structurally valid Chrome JSON with
   // balanced spans — through the file path tools consume.
@@ -239,7 +274,8 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   ASSERT_TRUE(In.good());
   std::ostringstream Ss;
   Ss << In.rdbuf();
-  parseBalancedTrace(Ss.str());
+  serve::Json Doc = parseBalancedTrace(Ss.str());
+  EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   std::remove(Path.c_str());
 }
 
@@ -249,6 +285,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
 // test above.
 TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
+  size_t ExtendsTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
     // not corpus breadth (the study sweep above owns that). The budget
@@ -267,6 +304,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
       SinkGuard Guard(&Sink);
       CertifiedRun Traced = runCertified(Req);
       expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
+      ExtendsTraced += extendSteps(Traced.Res);
     }
   }
   ASSERT_GT(Sink.eventCount(), 0u);
@@ -281,11 +319,8 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   std::ostringstream Ss;
   Ss << In.rdbuf();
   serve::Json Doc = parseBalancedTrace(Ss.str());
-  size_t CheckSpans = 0;
-  for (const serve::Json &E : Doc.get("traceEvents").items())
-    if (E.getString("ph") == "B" && E.getString("name") == "check.run")
-      ++CheckSpans;
-  EXPECT_GT(CheckSpans, 0u);
+  EXPECT_GT(spanCount(Doc, "check.run"), 0u);
+  EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   std::remove(Path.c_str());
 }
 

@@ -222,6 +222,27 @@ TEST(Json, MalformedInputsAreErrorsNotCrashes) {
   }
 }
 
+TEST(Json, NestingPastMaxDepthIsAnErrorNotAStackOverflow) {
+  auto Nested = [](size_t N) {
+    return std::string(N, '[') + std::string(N, ']');
+  };
+  serve::Json V;
+  std::string Err;
+  EXPECT_TRUE(serve::Json::parse(Nested(serve::Json::MaxDepth), V, &Err))
+      << Err;
+  EXPECT_FALSE(serve::Json::parse(Nested(serve::Json::MaxDepth + 1), V, &Err));
+  EXPECT_NE(Err.find("nest deeper"), std::string::npos) << Err;
+  // Objects count too, and mixed nesting counts every level.
+  std::string Mixed;
+  for (size_t I = 0; I <= serve::Json::MaxDepth; ++I)
+    Mixed += I % 2 ? "[" : "{\"k\":";
+  EXPECT_FALSE(serve::Json::parse(Mixed, V, &Err));
+  EXPECT_NE(Err.find("nest deeper"), std::string::npos) << Err;
+  // The reproducer: 50 000 '[' used to overflow the parser's stack.
+  EXPECT_FALSE(serve::Json::parse(std::string(50000, '['), V, &Err));
+  EXPECT_NE(Err.find("nest deeper"), std::string::npos) << Err;
+}
+
 //===----------------------------------------------------------------------===//
 // ResultCache: the never-hash-only discipline.
 //===----------------------------------------------------------------------===//
@@ -688,6 +709,27 @@ TEST(Server, ShutdownAcknowledgesAndSetsFlag) {
   EXPECT_TRUE(S->shutdownRequested());
 }
 
+TEST(Server, HostileNestingIsAStructuredError) {
+  // One request line of 50 000 '[' overflowed the stack and killed the
+  // daemon; now it is answered like any malformed line, and the loop
+  // goes on serving.
+  auto S = basicServer();
+  std::istringstream In(std::string(50000, '[') + "\n{\"op\":\"ping\"}\n");
+  std::ostringstream Out;
+  EXPECT_EQ(S->runStdio(In, Out), 0);
+  std::istringstream Lines(Out.str());
+  std::string L1, L2;
+  ASSERT_TRUE(std::getline(Lines, L1));
+  ASSERT_TRUE(std::getline(Lines, L2));
+  serve::Json R1, R2;
+  ASSERT_TRUE(serve::Json::parse(L1, R1, nullptr)) << L1;
+  EXPECT_FALSE(R1.getBool("ok", true));
+  EXPECT_NE(R1.getString("error").find("nest deeper"), std::string::npos)
+      << L1;
+  ASSERT_TRUE(serve::Json::parse(L2, R2, nullptr)) << L2;
+  EXPECT_TRUE(R2.getBool("pong", false));
+}
+
 TEST(Server, StdioLoopServesUntilEof) {
   auto S = basicServer();
   std::istringstream In("{\"op\":\"ping\"}\n" +
@@ -710,36 +752,54 @@ TEST(Server, SocketEndToEnd) {
   const std::string Path = "servetest.sock";
   std::thread ServerThread([&] { EXPECT_EQ(S->runSocket(Path), 0); });
 
-  // Connect (retrying while the listener comes up).
-  int Fd = -1;
-  for (int Attempt = 0; Attempt < 200; ++Attempt) {
-    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(Fd, 0);
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0)
-      break;
-    ::close(Fd);
-    Fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Connects a client (retrying while the listener comes up); -1 on
+  // failure.
+  auto connectClient = [&] {
+    for (int Attempt = 0; Attempt < 200; ++Attempt) {
+      int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (Fd < 0)
+        return -1;
+      sockaddr_un Addr;
+      std::memset(&Addr, 0, sizeof(Addr));
+      Addr.sun_family = AF_UNIX;
+      std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+      if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+          0)
+        return Fd;
+      ::close(Fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  };
+  int Fd = connectClient();
   ASSERT_GE(Fd, 0) << "could not connect to " << Path;
 
-  auto roundTrip = [&](const std::string &Line) {
+  auto roundTripOn = [&](int Client, const std::string &Line) {
     std::string Out = Line + "\n";
-    EXPECT_EQ(::write(Fd, Out.data(), Out.size()), ssize_t(Out.size()));
+    EXPECT_EQ(::write(Client, Out.data(), Out.size()), ssize_t(Out.size()));
     std::string Buf;
     char C;
-    while (::read(Fd, &C, 1) == 1 && C != '\n')
+    while (::read(Client, &C, 1) == 1 && C != '\n')
       Buf += C;
     serve::Json R;
     std::string Err;
     EXPECT_TRUE(serve::Json::parse(Buf, R, &Err)) << Err << ": " << Buf;
     return R;
   };
+  auto roundTrip = [&](const std::string &Line) {
+    return roundTripOn(Fd, Line);
+  };
 
+  // A hostile line gets a structured error; its connection keeps
+  // serving, and so does the daemon every other client shares.
+  serve::Json Hostile = roundTrip(std::string(50000, '['));
+  EXPECT_FALSE(Hostile.getBool("ok", true));
+  EXPECT_NE(Hostile.getString("error").find("nest deeper"),
+            std::string::npos);
+  int Other = connectClient();
+  ASSERT_GE(Other, 0) << "second client could not connect to " << Path;
+  EXPECT_TRUE(roundTripOn(Other, "{\"op\":\"ping\"}").getBool("pong", false));
+  ::close(Other);
   serve::Json Pong = roundTrip("{\"op\":\"ping\"}");
   EXPECT_TRUE(Pong.getBool("pong", false));
   serve::Json Check = roundTrip(checkRequestLine(LfpA, LfpB).serialize());

@@ -14,15 +14,26 @@
 ///   c1 ⟦⋀WP(ψ)⟧ c2   ⟺   ∀w ∈ {0,1}^♯(c1,c2): δ*(c1,w) ⟦ψ⟧ δ*(c2,w)
 ///
 /// on random configurations of small automata, in both leap and bit-level
-/// modes.
+/// modes. The predecessor index that narrows each WP call to the goal
+/// guard's predecessors has its own differential fence: over every
+/// registry study and corpus pair, WP over the index list must equal WP
+/// over the whole domain, formula for formula.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/WeakestPrecondition.h"
 
+#include "frontend/Elaborate.h"
+#include "frontend/Text.h"
 #include "p4a/Parser.h"
+#include "parsers/CaseStudies.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace leapfrog;
 using namespace leapfrog::core;
@@ -293,5 +304,230 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(Info.param)) +
              (std::get<1>(Info.param) ? "_leaps" : "_bit");
     });
+
+//===----------------------------------------------------------------------===//
+// The predecessor index (Reachability.h): WP over PredecessorIndex::of(ψ.TP)
+// is WP over the whole domain
+//===----------------------------------------------------------------------===//
+
+/// A conjunct for goal guard \p TP that touches a header on each side and,
+/// when the left buffer is non-empty, the buffer too — so both the store
+/// and the buffer substitutions show in the rendered WP formulas.
+GuardedFormula generatedConjunct(const p4a::Automaton &L,
+                                 const p4a::Automaton &R, TemplatePair TP,
+                                 size_t Salt) {
+  BitExprRef HL = BitExpr::mkSlice(
+      BitExpr::mkHdr(Side::Left, p4a::HeaderId(Salt % L.numHeaders())), 0,
+      0);
+  BitExprRef HR = BitExpr::mkSlice(
+      BitExpr::mkHdr(Side::Right, p4a::HeaderId(Salt % R.numHeaders())), 0,
+      0);
+  PureRef Phi = Pure::mkEq(HL, HR);
+  if (TP.L.N > 0)
+    Phi = Pure::mkAnd(
+        Phi, Pure::mkEq(BitExpr::mkSlice(BitExpr::mkBuf(Side::Left), 0, 0),
+                        HR));
+  return GuardedFormula{TP, Phi};
+}
+
+std::vector<std::string> rendered(const p4a::Automaton &L,
+                                  const p4a::Automaton &R,
+                                  const std::vector<GuardedFormula> &Fs) {
+  std::vector<std::string> Out;
+  for (const GuardedFormula &F : Fs)
+    Out.push_back(F.str(L, R));
+  return Out;
+}
+
+std::string guardStr(const p4a::Automaton &L, const p4a::Automaton &R,
+                     TemplatePair TP) {
+  return "[" + L.refName(TP.L.Q) + "," + std::to_string(TP.L.N) + "]x[" +
+         R.refName(TP.R.Q) + "," + std::to_string(TP.R.N) + "]";
+}
+
+/// Budgets that keep the fence affordable on the large rows. A full scan
+/// costs one WP source visit per (goal, domain pair): bit-level reach sets
+/// reach 43 324 pairs (Datacenter) and template products 3.7M, so a leg
+/// over budget poses every k-th reachable goal guard instead of all of
+/// them, and the product leg is skipped above MaxProductPairs (its index
+/// alone would hold millions of lists).
+constexpr size_t MaxScanVisits = 400000;
+constexpr size_t MaxProductPairs = 300000;
+
+/// For every reachable goal guard (every k-th on the large legs), WP of a
+/// generated conjunct over the index list and over the whole domain must
+/// render the same formulas in the same order and leave the same
+/// FreshCounter — in both leap modes, over the reach set and over the
+/// full product. Adds the number of legs it ran to \p Legs.
+void expectIndexMatchesFullScan(const std::string &Label,
+                                const p4a::Automaton &L,
+                                const p4a::Automaton &R, TemplatePair Start,
+                                size_t &Legs) {
+  for (bool UseLeaps : {false, true}) {
+    std::vector<TemplatePair> Goals = computeReach(L, R, Start, UseLeaps);
+    for (bool UseReach : {true, false}) {
+      std::vector<TemplatePair> Domain = UseReach ? Goals : allPairs(L, R);
+      if (Domain.size() > MaxProductPairs)
+        continue;
+      size_t Stride = 1 + Goals.size() * Domain.size() / MaxScanVisits;
+      ++Legs;
+      const PredecessorIndex Preds(L, R, Domain, UseLeaps);
+      std::string Leg = Label + (UseLeaps ? " leaps" : " bit") +
+                        (UseReach ? " reach" : " allPairs");
+      size_t FreshIndexed = 0, FreshFull = 0;
+      size_t Emitted = 0;
+      for (size_t G = 0; G < Goals.size(); G += Stride) {
+        GuardedFormula Goal = generatedConjunct(L, R, Goals[G], G);
+        std::vector<GuardedFormula> Indexed = weakestPrecondition(
+            L, R, Goal, Preds.of(Goal.TP), UseLeaps, FreshIndexed);
+        std::vector<GuardedFormula> Full = weakestPrecondition(
+            L, R, Goal, Domain, UseLeaps, FreshFull);
+        ASSERT_EQ(rendered(L, R, Indexed), rendered(L, R, Full))
+            << Leg << ": goal guard " << guardStr(L, R, Goal.TP);
+        ASSERT_EQ(FreshIndexed, FreshFull)
+            << Leg << ": goal guard " << guardStr(L, R, Goal.TP);
+        Emitted += Full.size();
+      }
+      // Non-vacuity: the reach set is closed under the step, so some goal
+      // has a predecessor and WP emitted something.
+      EXPECT_GT(Emitted, 0u) << Leg;
+    }
+  }
+}
+
+TEST(PredecessorIndex, ListsEveryCompatibleSourceInDomainOrder) {
+  // The WpCharacterization pair: a select loop with fall-through to
+  // reject on one side, a wildcard catch-all (no fall-through) on the
+  // other, so successor over-approximation is exercised both ways.
+  p4a::Automaton A = p4a::parseAutomatonOrDie(R"(
+    state s { extract(a, 2); select(a[0:0]) { 0 => s  1 => accept } }
+  )");
+  p4a::Automaton B = p4a::parseAutomatonOrDie(R"(
+    header d : 1;
+    state t { extract(c, 1); d := c; select(d[0:0]) { 1 => accept  _ => t } }
+  )");
+  for (bool UseLeaps : {false, true}) {
+    std::vector<TemplatePair> Domain = allPairs(A, B);
+    const PredecessorIndex Preds(A, B, Domain, UseLeaps);
+    for (size_t G = 0; G < Domain.size(); ++G) {
+      GuardedFormula Goal = generatedConjunct(A, B, Domain[G], G);
+      const std::vector<TemplatePair> &List = Preds.of(Goal.TP);
+      // Every source whose two sides are compatible with the goal guard
+      // (WP over it alone emits a formula) is listed.
+      for (TemplatePair Source : Domain) {
+        size_t Fresh = 0;
+        bool Compatible =
+            !weakestPrecondition(A, B, Goal, {Source}, UseLeaps, Fresh)
+                 .empty();
+        bool Listed =
+            std::find(List.begin(), List.end(), Source) != List.end();
+        if (Compatible) {
+          EXPECT_TRUE(Listed) << "compatible source "
+                              << guardStr(A, B, Source)
+                              << " missing from the predecessors of "
+                              << guardStr(A, B, Goal.TP)
+                              << (UseLeaps ? " (leaps)" : " (bit)");
+        }
+      }
+      // Lists are duplicate-free and in domain order.
+      size_t Last = 0;
+      for (size_t I = 0; I < List.size(); ++I) {
+        size_t Pos = size_t(
+            std::find(Domain.begin(), Domain.end(), List[I]) - Domain.begin());
+        ASSERT_LT(Pos, Domain.size()) << "listed source outside the domain";
+        if (I > 0) {
+          EXPECT_GT(Pos, Last) << "list out of domain order";
+        }
+        Last = Pos;
+      }
+    }
+  }
+}
+
+TEST(PredecessorIndex, ListsFollowTheAbstractStep) {
+  p4a::Automaton A = p4a::parseAutomatonOrDie(R"(
+    state s { extract(h, 3); select(h[0:0]) { 0 => s  1 => accept } }
+  )");
+  Template S0{p4a::StateRef::normal(0), 0};
+  Template S2{p4a::StateRef::normal(0), 2};
+  std::vector<TemplatePair> Domain = allPairs(A, A);
+  // Bit-level: ⟨s,2⟩ fills after one bit, so ⟨s,0⟩×⟨s,0⟩ is reached from
+  // ⟨s,2⟩×⟨s,2⟩ only; with leaps the start pair fills in one leap of 3.
+  const PredecessorIndex Bit(A, A, Domain, false);
+  ASSERT_EQ(Bit.of({S0, S0}).size(), 1u);
+  EXPECT_EQ(Bit.of({S0, S0})[0], (TemplatePair{S2, S2}));
+  const PredecessorIndex Leap(A, A, Domain, true);
+  const std::vector<TemplatePair> &FromLeap = Leap.of({S0, S0});
+  EXPECT_NE(std::find(FromLeap.begin(), FromLeap.end(), TemplatePair{S0, S0}),
+            FromLeap.end());
+  // No leap lands on ⟨s,1⟩×⟨s,1⟩: from ⟨s,0⟩×⟨s,0⟩ the leap is 3, and a
+  // leap of 1 needs a side that fills, which lands at buffer 0. Bit by
+  // bit, ⟨s,0⟩×⟨s,0⟩ gets there.
+  Template S1{p4a::StateRef::normal(0), 1};
+  EXPECT_TRUE(Leap.of({S1, S1}).empty());
+  ASSERT_EQ(Bit.of({S1, S1}).size(), 1u);
+  EXPECT_EQ(Bit.of({S1, S1})[0], (TemplatePair{S0, S0}));
+}
+
+TEST(PredecessorIndex, MatchesFullScanOnRegistryStudies) {
+  size_t Legs = 0;
+  for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
+    TemplatePair Start{
+        Template{p4a::StateRef::normal(*Study.Left.findState(Study.LeftStart)),
+                 0},
+        Template{
+            p4a::StateRef::normal(*Study.Right.findState(Study.RightStart)),
+            0}};
+    expectIndexMatchesFullScan(Study.Name, Study.Left, Study.Right, Start,
+                               Legs);
+  }
+  // Both reach legs ran for every study, the product legs for the six
+  // Utility rows.
+  EXPECT_GE(Legs, 2 * parsers::allCaseStudies().size() + 12);
+}
+
+std::string corpusDir() {
+  const char *Env = std::getenv("LEAPFROG_CORPUS_DIR");
+  return Env && *Env ? Env : "";
+}
+
+frontend::ElaborationResult loadLfp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In.good()) << "cannot read " << Path;
+  std::ostringstream Ss;
+  Ss << In.rdbuf();
+  frontend::TextParseResult Parsed = frontend::parseSurface(Ss.str());
+  EXPECT_TRUE(Parsed.ok()) << Path;
+  frontend::ElaborationResult Elab = frontend::elaborate(Parsed.Program);
+  EXPECT_TRUE(Elab.ok()) << Path;
+  return Elab;
+}
+
+TEST(PredecessorIndex, MatchesFullScanOnCorpusPairs) {
+  std::string Dir = corpusDir();
+  if (Dir.empty())
+    GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
+  // The hand-written protocol studies: each original against its
+  // optimized and its buggy variant (the registry twins are the
+  // registry studies above, elaborated bit-identically — CorpusTest).
+  const char *Protocols[] = {"ipv6_chain", "vlan_qinq", "tunnel",
+                             "quic_varint", "tlv_fanin"};
+  for (const char *P : Protocols) {
+    frontend::ElaborationResult Base = loadLfp(Dir + "/" + P + ".lfp");
+    for (const char *Variant : {"_opt", "_bug"}) {
+      frontend::ElaborationResult Other =
+          loadLfp(Dir + "/" + P + Variant + ".lfp");
+      ASSERT_TRUE(Base.ok() && Other.ok()) << P << Variant;
+      TemplatePair Start{
+          Template{p4a::StateRef::normal(*Base.Aut.findState(Base.Entry)), 0},
+          Template{p4a::StateRef::normal(*Other.Aut.findState(Other.Entry)),
+                   0}};
+      size_t Legs = 0;
+      expectIndexMatchesFullScan(std::string(P) + Variant, Base.Aut,
+                                 Other.Aut, Start, Legs);
+      EXPECT_GE(Legs, 2u) << P << Variant;
+    }
+  }
+}
 
 } // namespace
