@@ -104,6 +104,7 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
   // add per counter per check, nothing on the per-iteration path.
   struct MetricsFlush {
     CheckStats &St;
+    size_t NumLowerings = 0;
     ~MetricsFlush() {
       obs::Registry &M = obs::metrics();
       static obs::Counter &Runs = M.counter("check.runs");
@@ -111,11 +112,13 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
       static obs::Counter &Extends = M.counter("check.extends");
       static obs::Counter &Skips = M.counter("check.skips");
       static obs::Counter &Queries = M.counter("check.smt_queries");
+      static obs::Counter &Lowerings = M.counter("check.lowerings");
       Runs.add();
       Iterations.add(St.Iterations);
       Extends.add(St.Extends);
       Skips.add(St.Skips);
       Queries.add(St.SmtQueries);
+      Lowerings.add(NumLowerings);
     }
   } Flush{St};
   St.TemplatesLeft = allTemplates(Left).size();
@@ -149,7 +152,18 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     Push(std::move(G));
 
   std::vector<GuardedFormula> R;
+  // On the incremental path, RGoals[i] is R[i] lowered to FOL(BV): the
+  // goal it was posed as when it extended, later handed to its guard's
+  // session as a premise, so each conjunct is lowered once.
+  std::vector<smt::BvFormulaRef> RGoals;
   size_t FreshCounter = 0;
+
+  // Every Figure 6 lowering of the run goes through here.
+  auto Lower = [&](const TemplatePair &TP, const PureRef &Phi) {
+    obs::ScopedSpan LowerSpan("check.lower", "lower");
+    ++Flush.NumLowerings;
+    return lowerPure(Left, Right, TP, Phi);
+  };
 
   PureRef Premise =
       Spec.Premise ? Spec.Premise : Pure::mkTrue();
@@ -197,7 +211,12 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     const GuardedFormula &Psi = E.Psi;
     if (!Options.UseIncremental) {
       // Monolithic reference path: re-lower and re-blast ⋀R ⇒ ψ whole.
-      LowerResult Lowered = lowerEntailment(Left, Right, R, Psi);
+      LowerResult Lowered;
+      {
+        obs::ScopedSpan LowerSpan("check.lower", "lower");
+        ++Flush.NumLowerings;
+        Lowered = lowerEntailment(Left, Right, R, Psi);
+      }
       if (Lowered.Query->kind() == smt::BvFormula::Kind::True)
         return true;
       if (Lowered.Query->kind() == smt::BvFormula::Kind::False)
@@ -213,7 +232,7 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     // a goal query. An UNSAT premise set entails everything, which the
     // session also answers correctly (UNSAT stays UNSAT under ¬ψ).
     if (!E.Goal)
-      E.Goal = lowerPure(Left, Right, Psi.TP, Psi.Phi);
+      E.Goal = Lower(Psi.TP, Psi.Phi);
     if (E.Goal->kind() == smt::BvFormula::Kind::True)
       return true;
     if (E.Posed && !E.Entailed) {
@@ -225,9 +244,10 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
       if (!TS.Session)
         TS.Session = Solver.openSession(Options.Limits);
       for (; TS.NextConjunct < R.size(); ++TS.NextConjunct) {
-        const GuardedFormula &P = R[TS.NextConjunct];
-        if (P.TP == Psi.TP)
-          TS.Session->assertPremise(lowerPure(Left, Right, Psi.TP, P.Phi));
+        if (R[TS.NextConjunct].TP != Psi.TP)
+          continue;
+        assert(RGoals[TS.NextConjunct] && "an extended goal is lowered");
+        TS.Session->assertPremise(RGoals[TS.NextConjunct]);
       }
       // With the guard's gate open, pull upcoming unposed same-guard
       // goals of the window into the same physical call.
@@ -239,7 +259,7 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
           if (Next.Posed || Next.Psi.TP != Psi.TP)
             continue;
           if (!Next.Goal)
-            Next.Goal = lowerPure(Left, Right, Next.Psi.TP, Next.Psi.Phi);
+            Next.Goal = Lower(Next.Psi.TP, Next.Psi.Phi);
           if (Next.Goal->kind() != smt::BvFormula::Kind::True)
             Ahead.push_back(&Next);
         }
@@ -315,6 +335,7 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     const GuardedFormula &Psi = E.Psi;
     ++St.Extends;
     R.push_back(Psi);
+    RGoals.push_back(E.Goal);
 
     // Early refutation. Every symbolic bisimulation entails ⋀R ∧ ⋀T
     // (invariant (3) in the proof of Theorem 4.6), so if φ already fails
@@ -323,8 +344,8 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     // the checker total on inequivalent parsers with loops, where the
     // frontier itself need not drain (see DESIGN.md §5).
     if (Psi.TP == Spec.TP) {
-      smt::BvFormulaRef Query = lowerPure(
-          Left, Right, Spec.TP, Pure::mkImplies(Premise, Psi.Phi));
+      smt::BvFormulaRef Query =
+          Lower(Spec.TP, Pure::mkImplies(Premise, Psi.Phi));
       bool Valid = Query->kind() == smt::BvFormula::Kind::True;
       if (!Valid && Query->kind() != smt::BvFormula::Kind::False) {
         ++St.SmtQueries;
@@ -363,8 +384,8 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
   for (const GuardedFormula &Conjunct : R) {
     if (Conjunct.TP != Spec.TP)
       continue;
-    smt::BvFormulaRef Query = lowerPure(
-        Left, Right, Spec.TP, Pure::mkImplies(Premise, Conjunct.Phi));
+    smt::BvFormulaRef Query =
+        Lower(Spec.TP, Pure::mkImplies(Premise, Conjunct.Phi));
     bool Valid;
     if (Query->kind() == smt::BvFormula::Kind::True) {
       Valid = true;

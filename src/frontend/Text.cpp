@@ -225,7 +225,7 @@ private:
     // Hard cap: the statement loops stop asking for new constructs at 20
     // diagnostics, but one malformed statement can emit a few follow-ons
     // while unwinding; keep the flood bounded either way.
-    if (Result.Errors.size() >= 24)
+    if (Abandoned || Result.Errors.size() >= 24)
       return;
     Result.Errors.push_back(std::to_string(At.Line) + ":" +
                             std::to_string(At.Col) + ": " + Msg);
@@ -444,10 +444,27 @@ private:
     return std::nullopt;
   }
 
+  /// Counts one parenthesis, slice or '++' of the expression being
+  /// parsed. Parsing recurses once per parenthesis and later passes once
+  /// per operator, so past MaxExprNesting the input is reported here and
+  /// the rest of it skipped: a hostile nesting cannot overflow the stack.
+  bool nest() {
+    if (++ExprNesting <= MaxExprNesting)
+      return true;
+    error("expression nests deeper than " + std::to_string(MaxExprNesting) +
+          " parentheses, slices and '++'");
+    Abandoned = true;
+    while (!atEnd())
+      Lex.take();
+    return false;
+  }
+
   SExprRef parsePrimary() {
     if (peekPunct("(")) {
+      if (!nest())
+        return nullptr;
       Lex.take();
-      SExprRef E = parseExpr();
+      SExprRef E = parseConcat();
       expectPunct(")");
       return E;
     }
@@ -503,6 +520,8 @@ private:
   SExprRef parseAtom() {
     SExprRef E = parsePrimary();
     while (E && peekPunct("[")) {
+      if (!nest())
+        return nullptr;
       Token Open = Lex.take();
       size_t Lo = expectNumber();
       expectPunct(":");
@@ -525,9 +544,17 @@ private:
     return E;
   }
 
+  /// One whole expression: a select discriminant or an assigned value.
   SExprRef parseExpr() {
+    ExprNesting = 0;
+    return parseConcat();
+  }
+
+  SExprRef parseConcat() {
     SExprRef E = parseAtom();
     while (E && peekPunct("++")) {
+      if (!nest())
+        return nullptr;
       Lex.take();
       SExprRef R = parseAtom();
       if (!R)
@@ -780,6 +807,10 @@ private:
   std::map<std::string, SurfaceProgram::StackDecl> StackD;
   std::set<std::string> SubNames;
   std::vector<CallEdge> Calls;
+  /// See nest(). Generated and hand-written programs stay far below it.
+  static constexpr size_t MaxExprNesting = 256;
+  size_t ExprNesting = 0; ///< Of the expression being parsed.
+  bool Abandoned = false; ///< Set by nest(); silences follow-on errors.
 };
 
 } // namespace

@@ -237,6 +237,8 @@ private:
   }
 
   void error(const std::string &Msg) {
+    if (Abandoned)
+      return;
     Result.Errors.push_back("line " + std::to_string(Lex.peek().Line) +
                             ": " + Msg +
                             (Lex.peek().Text.empty()
@@ -326,10 +328,27 @@ private:
     return std::nullopt;
   }
 
+  /// Counts one parenthesis, slice or '++' of the expression being
+  /// parsed. Parsing recurses once per parenthesis and later passes once
+  /// per operator, so past MaxExprNesting the input is reported here and
+  /// the rest of it skipped: a hostile nesting cannot overflow the stack.
+  bool nest() {
+    if (++ExprNesting <= MaxExprNesting)
+      return true;
+    error("expression nests deeper than " + std::to_string(MaxExprNesting) +
+          " parentheses, slices and '++'");
+    Abandoned = true;
+    while (!atEnd())
+      Lex.take();
+    return false;
+  }
+
   ExprRef parsePrimary() {
     if (peekPunct("(")) {
+      if (!nest())
+        return nullptr;
       Lex.take();
-      ExprRef E = parseExpr();
+      ExprRef E = parseConcat();
       expectPunct(")");
       return E;
     }
@@ -351,6 +370,8 @@ private:
   ExprRef parseAtom() {
     ExprRef E = parsePrimary();
     while (E && peekPunct("[")) {
+      if (!nest())
+        return nullptr;
       Lex.take();
       size_t Lo = expectNumber();
       expectPunct(":");
@@ -361,9 +382,17 @@ private:
     return E;
   }
 
+  /// One whole expression: a select discriminant or an assigned value.
   ExprRef parseExpr() {
+    ExprNesting = 0;
+    return parseConcat();
+  }
+
+  ExprRef parseConcat() {
     ExprRef E = parseAtom();
     while (E && peekPunct("++")) {
+      if (!nest())
+        return nullptr;
       Lex.take();
       ExprRef R = parseAtom();
       if (!R)
@@ -481,6 +510,10 @@ private:
 
   Lexer Lex;
   ParseResult Result;
+  /// See nest(). Hand-written programs stay far below it.
+  static constexpr size_t MaxExprNesting = 256;
+  size_t ExprNesting = 0; ///< Of the expression being parsed.
+  bool Abandoned = false; ///< Set by nest(); silences follow-on errors.
 };
 
 } // namespace

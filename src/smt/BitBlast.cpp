@@ -23,7 +23,6 @@ void BitBlaster::pushGuard(Lit Guard) {
   GuardActive = true;
   GuardLit = Guard;
   ScopedFormulas.clear();
-  ScopedTerms.clear();
   ScopedRootsFrom = PinnedRoots.size();
 }
 
@@ -31,14 +30,11 @@ size_t BitBlaster::popGuardAndEvict() {
   assert(GuardActive && "no guarded scope to pop");
   GuardActive = false;
   GuardLit = Lit::undef();
-  size_t Evicted = ScopedFormulas.size() + ScopedTerms.size() +
-                   (PinnedRoots.size() - ScopedRootsFrom);
+  size_t Evicted =
+      ScopedFormulas.size() + (PinnedRoots.size() - ScopedRootsFrom);
   for (const BvFormula *F : ScopedFormulas)
     FormulaCache.erase(F);
-  for (const BvTerm *T : ScopedTerms)
-    TermCache.erase(T);
   ScopedFormulas.clear();
-  ScopedTerms.clear();
   // The scope's roots were only pinned to keep the evicted cache keys
   // from aliasing freed nodes; with the entries gone they can be
   // released.
@@ -54,55 +50,52 @@ Lit BitBlaster::trueLit() {
   return TrueL;
 }
 
-Lit BitBlaster::litForVarBit(const std::string &Name, size_t Width,
-                             size_t BitIndex) {
-  auto It = VarBits.find(Name);
-  if (It == VarBits.end()) {
-    std::vector<Var> Bits;
-    Bits.reserve(Width);
-    for (size_t I = 0; I < Width; ++I)
-      Bits.push_back(Solver.newVar());
-    It = VarBits.emplace(Name, std::move(Bits)).first;
+const std::vector<Var> &BitBlaster::varBits(const BvTerm &V) {
+  // A variable is allocated whole on first sight, so SAT numbering only
+  // depends on the order in which variables are first met.
+  auto [It, Inserted] = VarBits.try_emplace(V.varName());
+  if (Inserted) {
+    It->second.reserve(V.width());
+    for (size_t I = 0; I < V.width(); ++I)
+      It->second.push_back(Solver.newVar());
   }
-  assert(It->second.size() == Width && "variable used at two widths");
-  assert(BitIndex < Width && "bit index out of range");
-  return Lit::mk(It->second[BitIndex], false);
+  assert(It->second.size() == V.width() && "variable used at two widths");
+  return It->second;
 }
 
-std::vector<BitBlaster::BBit> BitBlaster::blastTerm(const BvTermRef &T) {
-  auto Cached = TermCache.find(T.get());
-  if (Cached != TermCache.end())
-    return Cached->second;
-
-  std::vector<BBit> Bits;
-  Bits.reserve(T->width());
-  switch (T->kind()) {
+void BitBlaster::blastTerm(const BvTerm &T, std::vector<BBit> &Out) {
+  switch (T.kind()) {
   case BvTerm::Kind::Var:
-    for (size_t I = 0; I < T->width(); ++I)
-      Bits.push_back(BBit::mkLit(litForVarBit(T->varName(), T->width(), I)));
-    break;
+    for (Var V : varBits(T))
+      Out.push_back(BBit::mkLit(Lit::mk(V, false)));
+    return;
   case BvTerm::Kind::Const:
-    for (size_t I = 0; I < T->width(); ++I)
-      Bits.push_back(BBit::mkConst(T->constValue().bit(I)));
-    break;
-  case BvTerm::Kind::Concat: {
-    Bits = blastTerm(T->lhs());
-    std::vector<BBit> R = blastTerm(T->rhs());
-    Bits.insert(Bits.end(), R.begin(), R.end());
-    break;
-  }
+    for (size_t I = 0; I < T.width(); ++I)
+      Out.push_back(BBit::mkConst(T.constValue().bit(I)));
+    return;
+  case BvTerm::Kind::Concat:
+    blastTerm(*T.lhs(), Out);
+    blastTerm(*T.rhs(), Out);
+    return;
   case BvTerm::Kind::Extract: {
-    std::vector<BBit> Op = blastTerm(T->extractOperand());
-    for (size_t I = T->extractLo(); I <= T->extractHi(); ++I)
-      Bits.push_back(Op[I]);
-    break;
+    const BvTerm &Op = *T.extractOperand();
+    assert(Op.kind() == BvTerm::Kind::Var &&
+           "mkExtract folds every extraction onto a variable");
+    const std::vector<Var> &Bits = varBits(Op);
+    for (size_t I = T.extractLo(); I <= T.extractHi(); ++I)
+      Out.push_back(BBit::mkLit(Lit::mk(Bits[I], false)));
+    return;
   }
   }
-  assert(Bits.size() == T->width() && "blasted width mismatch");
-  TermCache.emplace(T.get(), Bits);
-  if (GuardActive)
-    ScopedTerms.push_back(T.get());
-  return Bits;
+}
+
+void BitBlaster::blastEqSides(const BvFormula &F) {
+  LhsBits.clear();
+  RhsBits.clear();
+  blastTerm(*F.eqLhs(), LhsBits);
+  blastTerm(*F.eqRhs(), RhsBits);
+  assert(LhsBits.size() == F.eqLhs()->width() &&
+         RhsBits.size() == LhsBits.size() && "equality width mismatch");
 }
 
 Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
@@ -119,9 +112,8 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
     Result = ~trueLit();
     break;
   case BvFormula::Kind::Eq: {
-    std::vector<BBit> L = blastTerm(F->eqLhs());
-    std::vector<BBit> R = blastTerm(F->eqRhs());
-    assert(L.size() == R.size() && "equality width mismatch");
+    blastEqSides(*F);
+    const std::vector<BBit> &L = LhsBits, &R = RhsBits;
     // G <-> AND_i (L_i <-> R_i). Constant bits fold.
     std::vector<Lit> PerBit;
     bool KnownFalse = false;
@@ -230,8 +222,8 @@ void BitBlaster::assertFormula(const BvFormulaRef &F) {
     return;
   case BvFormula::Kind::Eq: {
     // Direct clausal encoding, two binary clauses per symbolic bit pair.
-    std::vector<BBit> L = blastTerm(F->eqLhs());
-    std::vector<BBit> R = blastTerm(F->eqRhs());
+    blastEqSides(*F);
+    const std::vector<BBit> &L = LhsBits, &R = RhsBits;
     for (size_t I = 0; I < L.size(); ++I) {
       const BBit &A = L[I], &B = R[I];
       if (A.IsConst && B.IsConst) {

@@ -56,17 +56,16 @@ public:
   /// deletable via SatSolver::simplify() — once ~Guard is asserted.
   /// Incremental sessions wrap each goal query in such a scope.
   ///
-  /// Cache discipline: entries added to FormulaCache/TermCache during the
-  /// scope encode definitions that are *conditional on Guard*, so they
-  /// (and the roots pinned for them) are evicted when the scope pops;
-  /// entries created outside any scope are unconditional and persist.
-  /// Variable-bit literals persist either way — they carry no defining
-  /// clauses and must stay stable for model reconstruction. Scopes do
-  /// not nest.
+  /// Cache discipline: FormulaCache entries added during the scope encode
+  /// definitions *conditional on Guard*, so they (and the roots pinned
+  /// for them) are evicted when the scope pops; entries created outside
+  /// any scope persist. Variable bits persist either way — they carry no
+  /// defining clauses and must stay stable for model reconstruction.
+  /// Terms emit no clauses and are not cached. Scopes do not nest.
   void pushGuard(Lit Guard);
 
   /// Ends the guarded scope and evicts its cache entries; returns how
-  /// many entries (formula + term + pinned roots) were dropped.
+  /// many entries (formulas + pinned roots) were dropped.
   size_t popGuardAndEvict();
 
 private:
@@ -80,10 +79,13 @@ private:
     static BBit mkLit(Lit L) { return BBit{false, false, L}; }
   };
 
-  std::vector<BBit> blastTerm(const BvTermRef &T);
+  /// Appends the bits of \p T to \p Out: one VarBits lookup per variable
+  /// occurrence, and an Extract copies only its slice.
+  void blastTerm(const BvTerm &T, std::vector<BBit> &Out);
+  void blastEqSides(const BvFormula &F); ///< Into LhsBits / RhsBits.
+  const std::vector<Var> &varBits(const BvTerm &V);
   Lit blastFormula(const BvFormulaRef &F);
   Lit freshLit();
-  Lit litForVarBit(const std::string &Name, size_t Width, size_t BitIndex);
 
   /// All clause emission funnels through here so an active guard can be
   /// appended uniformly. trueLit() bypasses it: TrueL is a blaster-wide
@@ -96,20 +98,17 @@ private:
   /// Literal asserted true at level 0 (created lazily) so constants can be
   /// uniformly represented as literals when Tseitin needs them.
   Lit trueLit();
-  Lit litOf(const BBit &B) {
-    if (!B.IsConst)
-      return B.L;
-    return B.ConstVal ? trueLit() : ~trueLit();
-  }
 
   SatSolver &Solver;
   std::unordered_map<std::string, std::vector<Var>> VarBits;
   std::unordered_map<const BvFormula *, Lit> FormulaCache;
-  std::unordered_map<const BvTerm *, std::vector<BBit>> TermCache;
-  /// Every formula ever given to assertFormula/litFor. The two caches
-  /// above key on raw node addresses, so the blaster must keep its roots
-  /// (and thereby all their subterms) alive: a freed-and-reallocated node
-  /// would otherwise alias a stale cache entry. Long-lived incremental
+  /// Scratch for the sides of the equality being encoded (a leaf of the
+  /// formula recursion, so one pair suffices).
+  std::vector<BBit> LhsBits, RhsBits;
+  /// Every formula ever given to assertFormula/litFor. FormulaCache keys
+  /// on raw node addresses, so the blaster must keep its roots (and thereby
+  /// all their subformulas) alive: a freed-and-reallocated node would
+  /// otherwise alias a stale cache entry. Long-lived incremental
   /// sessions hold one BitBlaster across many formulas, making this
   /// pinning load-bearing rather than belt-and-braces.
   std::vector<BvFormulaRef> PinnedRoots;
@@ -119,7 +118,6 @@ private:
   bool GuardActive = false;
   Lit GuardLit = Lit::undef();
   std::vector<const BvFormula *> ScopedFormulas;
-  std::vector<const BvTerm *> ScopedTerms;
   size_t ScopedRootsFrom = 0;
 };
 

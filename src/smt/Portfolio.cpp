@@ -159,7 +159,6 @@ SatResult PortfolioSolver::checkSat(const BvFormulaRef &F, Model *M) {
   ++Stats.Queries;
   Stats.TotalMicros += Micros;
   Stats.MaxMicros = std::max(Stats.MaxMicros, Micros);
-  Stats.QueryMicros.push_back(Micros);
   if (R == SatResult::Sat)
     ++Stats.SatAnswers;
   else
@@ -206,7 +205,6 @@ public:
     ++St.Queries;
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    St.QueryMicros.push_back(Micros);
     if (R == SatResult::Sat)
       ++St.SatAnswers;
     else
@@ -233,9 +231,7 @@ public:
     St.Queries += Goals.size();
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    uint64_t Share = Goals.empty() ? 0 : Micros / Goals.size();
     for (SatResult R : Out) {
-      St.QueryMicros.push_back(Share);
       if (R == SatResult::Sat)
         ++St.SatAnswers;
       else

@@ -409,7 +409,6 @@ SatResult SmtLibSolver::checkSat(const BvFormulaRef &F, Model *M) {
   ++Stats.Queries;
   Stats.TotalMicros += Micros;
   Stats.MaxMicros = std::max(Stats.MaxMicros, Micros);
-  Stats.QueryMicros.push_back(Micros);
   if (R == SatResult::Sat)
     ++Stats.SatAnswers;
   else
@@ -469,7 +468,6 @@ public:
     ++St.Queries;
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    St.QueryMicros.push_back(Micros);
     if (R == SatResult::Sat)
       ++St.SatAnswers;
     else
@@ -536,9 +534,7 @@ public:
     St.Queries += Goals.size();
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    uint64_t Share = Micros / Goals.size();
     for (size_t I = 0; I < Goals.size(); ++I) {
-      St.QueryMicros.push_back(Share);
       if (Out[I] == SatResult::Sat)
         ++St.SatAnswers;
       else
@@ -777,7 +773,6 @@ SatResult CrossCheckSolver::checkSat(const BvFormulaRef &F, Model *M) {
   ++Stats.Queries;
   Stats.TotalMicros += Micros;
   Stats.MaxMicros = std::max(Stats.MaxMicros, Micros);
-  Stats.QueryMicros.push_back(Micros);
   if (RefR == SatResult::Sat)
     ++Stats.SatAnswers;
   else
@@ -822,7 +817,6 @@ public:
     ++St.Queries;
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    St.QueryMicros.push_back(Micros);
     if (RefR == SatResult::Sat)
       ++St.SatAnswers;
     else

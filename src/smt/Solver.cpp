@@ -209,8 +209,7 @@ public:
     // evicted when the scope pops (after retirement, below).
     if (HardRetire)
       Blaster->pushGuard(Activation);
-    Lit GoalLit = Blaster->litFor(Goal);
-    Sat->addClause(~Activation, GoalLit);
+    Sat->addClause(~Activation, blastGoal(Goal));
     bool IsSat = Sat->solveUnderAssumptions({Activation});
     ++Owner.Stats.RoundTrips;
     // An interrupted solve derived nothing: its false is an abandonment,
@@ -270,7 +269,6 @@ public:
     ++St.Queries;
     St.TotalMicros += Micros;
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    St.QueryMicros.push_back(Micros);
     // Record per-query growth, not the cumulative instance size: the
     // monolithic path records a fresh instance per query, so only the
     // delta keeps TotalSatVars/Queries meaningful across backends.
@@ -336,8 +334,7 @@ public:
     for (size_t I = 0; I < Goals.size(); ++I) {
       Acts[I] = Lit::mk(Sat->newVar(), false);
       Blaster->pushGuard(Acts[I]);
-      Lit GoalLit = Blaster->litFor(Goals[I]);
-      Sat->addClause(~Acts[I], GoalLit);
+      Sat->addClause(~Acts[I], blastGoal(Goals[I]));
       Blaster->popGuardAndEvict();
     }
     std::vector<char> Resolved(Goals.size(), 0);
@@ -406,12 +403,8 @@ public:
     St.Queries += Goals.size();
     St.TotalMicros += Micros;
     // The batch is one physical solve covering N queries: its full
-    // latency is the honest MaxMicros candidate, while QueryMicros gets
-    // each goal's amortized share so percentile math stays per-goal.
+    // latency is the honest MaxMicros candidate.
     St.MaxMicros = std::max(St.MaxMicros, Micros);
-    uint64_t Share = Micros / Goals.size();
-    for (size_t I = 0; I < Goals.size(); ++I)
-      St.QueryMicros.push_back(Share);
     if (Sat->numVars() > ReportedVars)
       St.TotalSatVars += Sat->numVars() - ReportedVars;
     if (Sat->numClauses() > ReportedClauses)
@@ -441,12 +434,19 @@ private:
       Certifier->feed(*Stream, /*Drop=*/Stream == &OwnStream, Owner.Stats);
   }
 
+  /// Blasts one goal to its literal. Its own span category: it nests in
+  /// solver.query / solver.batch, and per-category totals stay disjoint.
+  Lit blastGoal(const BvFormulaRef &Goal) {
+    obs::ScopedSpan Span("solver.blast_goal", "blast");
+    return Blaster->litFor(Goal);
+  }
+
   /// Blasts one premise into the live solver, timing it into TotalMicros:
   /// premise blasting is real solver-side work the monolithic path pays
-  /// per query, so the A/B benches must see it (it has no QueryMicros
-  /// entry — it belongs to no single query, which is the whole point).
+  /// per query, so the A/B benches must see it (it belongs to no single
+  /// query, which is the whole point).
   void blastPremise(const BvFormulaRef &F) {
-    obs::ScopedSpan Span("solver.blast_premise", "solver");
+    obs::ScopedSpan Span("solver.blast_premise", "blast");
     obs::ScopedMicros Timer(Owner.Stats.TotalMicros);
     size_t Before = Sat->numClauses();
     Blaster->assertFormula(F);
@@ -608,7 +608,6 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   ++Stats.Queries;
   Stats.TotalMicros += Micros;
   Stats.MaxMicros = std::max(Stats.MaxMicros, Micros);
-  Stats.QueryMicros.push_back(Micros);
   Stats.TotalSatVars += Sat.numVars();
   Stats.TotalSatClauses += Sat.numClauses();
 

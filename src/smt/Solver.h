@@ -55,7 +55,6 @@ struct SolverStats {
   uint64_t TotalSatClauses = 0;
   uint64_t TotalMicros = 0;
   uint64_t MaxMicros = 0;
-  std::vector<uint64_t> QueryMicros; ///< Per-query latencies.
   /// Proof-certification counters (BitBlastSolver with CertifyUnsat).
   uint64_t CertifiedUnsat = 0; ///< UNSAT answers checked in-process by
                                ///< cert::StreamChecker.

@@ -17,6 +17,9 @@
 
 #include "core/Checker.h"
 
+#include "frontend/Elaborate.h"
+#include "frontend/Text.h"
+#include "obs/Metrics.h"
 #include "p4a/Concrete.h"
 #include "p4a/Parser.h"
 #include "p4a/Typing.h"
@@ -25,6 +28,11 @@
 #include "FuzzSupport.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace leapfrog;
 using namespace leapfrog::core;
@@ -627,5 +635,73 @@ TEST_P(SessionRestartDifferential, DecisionsMatchUnlimited) {
 
 INSTANTIATE_TEST_SUITE_P(Registry, SessionRestartDifferential,
                          ::testing::Range<size_t>(0, 10));
+
+//===----------------------------------------------------------------------===//
+// Lowering accounting
+//===----------------------------------------------------------------------===//
+
+frontend::ElaborationResult loadLfp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In.good()) << "cannot read " << Path;
+  std::ostringstream Ss;
+  Ss << In.rdbuf();
+  frontend::TextParseResult Parsed = frontend::parseSurface(Ss.str());
+  EXPECT_TRUE(Parsed.ok()) << Path;
+  return frontend::elaborate(Parsed.Program);
+}
+
+/// Every conjunct is lowered once as a goal, and an extended goal is its
+/// own premise, so with one goal per query an equivalent run lowers
+/// Iterations goals plus each spec-guard conjunct of R twice: once for
+/// early refutation and once for the Done check. No premise is lowered.
+TEST(CheckerLowering, EachConjunctIsLoweredOnce) {
+  const char *Env = std::getenv("LEAPFROG_CORPUS_DIR");
+  if (!Env || !*Env)
+    GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
+  auto Expect = [](const std::string &Name, const p4a::Automaton &L,
+                   const p4a::Automaton &R, const InitialSpec &Spec) {
+    smt::BitBlastSolver Solver;
+    CheckOptions O;
+    O.Solver = &Solver;
+    uint64_t Before = obs::metrics().snapshot().counter("check.lowerings");
+    CheckResult Res = checkWithSpec(L, R, Spec, O);
+    uint64_t Lowerings =
+        obs::metrics().snapshot().counter("check.lowerings") - Before;
+    EXPECT_EQ(Res.V, Verdict::Equivalent) << Name << ": "
+                                          << Res.FailureReason;
+    const EquivalenceCertificate &Cert = Res.Certificate;
+    size_t AtSpec = size_t(std::count_if(
+        Cert.Relation.begin(), Cert.Relation.end(),
+        [&](const GuardedFormula &G) { return G.TP == Cert.Spec.TP; }));
+    EXPECT_EQ(Lowerings, Res.Stats.Iterations + 2 * AtSpec) << Name;
+    return AtSpec;
+  };
+  for (const char *P :
+       {"ipv6_chain", "vlan_qinq", "tunnel", "quic_varint", "tlv_fanin"}) {
+    frontend::ElaborationResult L = loadLfp(std::string(Env) + "/" + P +
+                                            ".lfp");
+    frontend::ElaborationResult R = loadLfp(std::string(Env) + "/" + P +
+                                            "_opt.lfp");
+    ASSERT_TRUE(L.ok() && R.ok()) << P;
+    InitialSpec Spec = languageEquivalenceSpec(
+        L.Aut, p4a::StateRef::normal(*L.Aut.findState(L.Entry)), R.Aut,
+        p4a::StateRef::normal(*R.Aut.findState(R.Entry)));
+    EXPECT_EQ(Expect(P, L.Aut, R.Aut, Spec), 0u) << P;
+  }
+  // Under a true premise an extend at the spec guard is always refuted,
+  // so an equivalent run needs a premise to exercise the refutation and
+  // Done terms: here a select reads the initial store, and the premise
+  // equates the two initial stores.
+  p4a::Automaton A = p4a::parseAutomatonOrDie(
+      "header h : 2; state s { extract(a, 1); "
+      "select(h[0:1]) { 00 => accept  _ => reject } }");
+  InitialSpec Spec = languageEquivalenceSpec(
+      A, p4a::StateRef::normal(*A.findState("s")), A,
+      p4a::StateRef::normal(*A.findState("s")));
+  Spec.Premise = logic::Pure::mkEq(
+      logic::BitExpr::mkHdr(logic::Side::Left, *A.findHeader("h")),
+      logic::BitExpr::mkHdr(logic::Side::Right, *A.findHeader("h")));
+  EXPECT_GT(Expect("store premise", A, A, Spec), 0u);
+}
 
 } // namespace

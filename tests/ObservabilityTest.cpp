@@ -225,6 +225,41 @@ size_t spanCount(const serve::Json &Doc, const std::string &Name) {
   return N;
 }
 
+/// Number of B events named \p Child whose innermost open span on the
+/// same thread is named \p Parent.
+size_t spansNestedIn(const serve::Json &Doc, const std::string &Child,
+                     const std::string &Parent) {
+  size_t N = 0;
+  std::map<uint64_t, std::vector<std::string>> Open; // tid -> span stack
+  for (const serve::Json &E : Doc.get("traceEvents").items()) {
+    std::vector<std::string> &Stack = Open[E.getUnsigned("tid", 0)];
+    if (E.getString("ph") == "B") {
+      if (E.getString("name") == Child && !Stack.empty() &&
+          Stack.back() == Parent)
+        ++N;
+      Stack.push_back(E.getString("name"));
+    } else if (E.getString("ph") == "E" && !Stack.empty()) {
+      Stack.pop_back();
+    }
+  }
+  return N;
+}
+
+/// The goal-blast and lowering spans: every goal blast sits directly in
+/// a solver query, and a traced run has one lowering span per counted
+/// lowering.
+void expectBlastAndLowerSpans(const serve::Json &Doc, uint64_t Lowerings) {
+  size_t Blasts = spanCount(Doc, "solver.blast_goal");
+  EXPECT_GT(Blasts, 0u);
+  EXPECT_EQ(spansNestedIn(Doc, "solver.blast_goal", "solver.query"), Blasts);
+  EXPECT_GT(Lowerings, 0u);
+  EXPECT_EQ(spanCount(Doc, "check.lower"), Lowerings);
+}
+
+uint64_t lowerings() {
+  return obs::metrics().snapshot().counter("check.lowerings");
+}
+
 uint64_t histogramCount(const std::string &Name) {
   obs::MetricsSnapshot Snap = obs::metrics().snapshot();
   auto It = Snap.Histograms.find(Name);
@@ -238,6 +273,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   // per Extend.
   uint64_t WpObservedBefore = histogramCount("check.wp_micros");
   size_t ExtendsAll = 0, ExtendsTraced = 0;
+  uint64_t LoweringsTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     CheckOptions Options;
     // The CertificateTest sweep budgets: Applicability rows only need to
@@ -254,7 +290,9 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     // exercises multi-run accumulation.
     {
       SinkGuard Guard(&Sink);
+      uint64_t Before = lowerings();
       CertifiedRun Traced = runCertified(Req);
+      LoweringsTraced += lowerings() - Before;
       expectDecisionIdentical(Study.Name, Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -276,6 +314,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   Ss << In.rdbuf();
   serve::Json Doc = parseBalancedTrace(Ss.str());
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
+  expectBlastAndLowerSpans(Doc, LoweringsTraced);
   std::remove(Path.c_str());
 }
 
@@ -286,6 +325,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
 TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
   size_t ExtendsTraced = 0;
+  uint64_t LoweringsTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
     // not corpus breadth (the study sweep above owns that). The budget
@@ -302,7 +342,9 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
     CertifiedRun Baseline = runCertified(Req);
     {
       SinkGuard Guard(&Sink);
+      uint64_t Before = lowerings();
       CertifiedRun Traced = runCertified(Req);
+      LoweringsTraced += lowerings() - Before;
       expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -321,6 +363,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   serve::Json Doc = parseBalancedTrace(Ss.str());
   EXPECT_GT(spanCount(Doc, "check.run"), 0u);
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
+  expectBlastAndLowerSpans(Doc, LoweringsTraced);
   std::remove(Path.c_str());
 }
 

@@ -350,6 +350,40 @@ TEST(Parser, ReportsConflictingHeaderSizes) {
   EXPECT_FALSE(R.ok());
 }
 
+/// \p Unit repeated \p N times.
+std::string repeated(const std::string &Unit, size_t N) {
+  std::string S;
+  for (size_t I = 0; I < N; ++I)
+    S += Unit;
+  return S;
+}
+
+TEST(Parser, HostileNestingIsOneLocatedError) {
+  // 100 000 parentheses around a select discriminant overflowed the
+  // stack; so did an equally long '++' or slice chain (later passes
+  // recurse once per operator). Each is now one located diagnostic.
+  const size_t N = 100000;
+  const std::string Inputs[] = {
+      "state s { extract(h, 8); select(" + repeated("(", N) + "h" +
+          repeated(")", N) + ") { 0 => accept } }",
+      "state s { extract(h, 8); h := h" + repeated(" ++ h", N) +
+          "; goto accept }",
+      "state s { extract(h, 8); select(h" + repeated("[0:7]", N) +
+          ") { 0 => accept } }"};
+  for (const std::string &In : Inputs) {
+    ParseResult R = parseAutomaton(In);
+    ASSERT_EQ(R.Errors.size(), 1u) << R.Errors.front();
+    EXPECT_EQ(R.Errors[0].find("line 1: expression nests deeper than 256"),
+              0u)
+        << R.Errors[0];
+  }
+  // The limit is per expression, not per file.
+  EXPECT_TRUE(parseAutomaton("state s { extract(h, 8);" +
+                             repeated(" h := (h[0:7]);", 300) +
+                             " goto accept }")
+                  .ok());
+}
+
 //===----------------------------------------------------------------------===//
 // Structural metrics used by the Table 2 harness
 //===----------------------------------------------------------------------===//

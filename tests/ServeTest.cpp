@@ -796,6 +796,22 @@ TEST(Server, SocketEndToEnd) {
   EXPECT_FALSE(Hostile.getBool("ok", true));
   EXPECT_NE(Hostile.getString("error").find("nest deeper"),
             std::string::npos);
+  // So does a check whose left text nests a select discriminant 100 000
+  // parentheses deep (it overflowed the parser's stack): the answer is
+  // the parser's located diagnostic.
+  const std::string DeepLfp = "header h : 8;\nentry start;\nstate start {\n"
+                              "  extract(h);\n  select(" +
+                              std::string(100000, '(') + "h[0:7]" +
+                              std::string(100000, ')') +
+                              ") {\n    (_) => accept;\n  }\n}\n";
+  serve::Json Deep =
+      roundTrip(checkRequestLine(DeepLfp.c_str(), LfpB).serialize());
+  EXPECT_FALSE(Deep.getBool("ok", true));
+  ASSERT_TRUE(Deep.get("diagnostics").isArray());
+  ASSERT_EQ(Deep.get("diagnostics").items().size(), 1u);
+  EXPECT_NE(Deep.get("diagnostics").items()[0].asString().find(
+                "5:266: expression nests deeper than 256"),
+            std::string::npos);
   int Other = connectClient();
   ASSERT_GE(Other, 0) << "second client could not connect to " << Path;
   EXPECT_TRUE(roundTripOn(Other, "{\"op\":\"ping\"}").getBool("pong", false));

@@ -16,12 +16,15 @@
 
 #include "smt/BitBlast.h"
 #include "smt/BvFormula.h"
+#include "smt/ProofLog.h"
 #include "smt/SmtLib.h"
 #include "smt/Solver.h"
 
 #include "FuzzSupport.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace leapfrog;
 using namespace leapfrog::smt;
@@ -151,7 +154,7 @@ TEST(Solver, CountsQueries) {
   S.isValid(BvFormula::mkEq(X, X));
   S.checkSat(BvFormula::mkEq(X, lit("1010")), nullptr);
   EXPECT_EQ(S.stats().Queries, 2u);
-  EXPECT_EQ(S.stats().QueryMicros.size(), 2u);
+  EXPECT_EQ(S.stats().SatAnswers + S.stats().UnsatAnswers, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -259,6 +262,127 @@ TEST_P(BlastFuzz, AgreesWithEnumeration) {
     if (!Has("y"))
       M.emplace_back("y", Bitvector(2));
     EXPECT_TRUE(evalFormula(F, M)) << F->str();
+  }
+}
+
+/// Wide variables w (256 bits) and v (320 bits), read only through two
+/// 2-bit windows each, at random offsets: the blaster allocates all of
+/// each variable, but the eight window bits decide every formula.
+struct WideWindows {
+  struct Window {
+    const char *Name;
+    size_t Width, Lo; ///< The window is bits [Lo, Lo + 1].
+  };
+  std::vector<Window> Ws;
+
+  explicit WideWindows(Rng &R) {
+    for (auto [Name, Width] : {std::pair<const char *, size_t>{"w", 256},
+                               std::pair<const char *, size_t>{"v", 320}})
+      for (int I = 0; I < 2; ++I)
+        Ws.push_back(Window{Name, Width, R.below(Width - 1)});
+  }
+
+  /// An extract of one to two bits of one window.
+  BvTermRef slice(Rng &R) const {
+    const Window &W = Ws[R.below(Ws.size())];
+    size_t Lo = W.Lo + R.below(2);
+    size_t Hi = Lo + R.below(W.Lo + 2 - Lo);
+    return BvTerm::mkExtract(var(W.Name, W.Width), Lo, Hi);
+  }
+
+  /// Slices, concats of slices, extracts of those concats, constants.
+  BvTermRef term(Rng &R, int Depth) const {
+    if (Depth == 0 || R.below(3) == 0)
+      return R.below(4) == 0 ? lit(R.below(2) ? "1" : "01") : slice(R);
+    BvTermRef Cat = BvTerm::mkConcat(term(R, Depth - 1), term(R, Depth - 1));
+    if (R.below(2) == 0)
+      return Cat;
+    size_t Lo = R.below(Cat->width());
+    return BvTerm::mkExtract(Cat, Lo, Lo + R.below(Cat->width() - Lo));
+  }
+
+  /// An equality of a term with a constant or with single window bits.
+  BvFormulaRef eq(Rng &R) const {
+    BvTermRef A = term(R, 2);
+    BvTermRef B;
+    for (size_t I = 0; I < A->width(); ++I) {
+      BvTermRef Bit = lit(R.below(2) ? "1" : "0");
+      if (R.below(2) == 0) {
+        const Window &W = Ws[R.below(Ws.size())];
+        size_t P = W.Lo + R.below(2);
+        Bit = BvTerm::mkExtract(var(W.Name, W.Width), P, P);
+      }
+      B = B ? BvTerm::mkConcat(B, Bit) : Bit;
+    }
+    return BvFormula::mkEq(A, B);
+  }
+
+  BvFormulaRef formula(Rng &R, int Depth) const {
+    if (Depth == 0 || R.below(4) == 0)
+      return eq(R);
+    BvFormulaRef L = formula(R, Depth - 1);
+    switch (R.below(4)) {
+    case 0:
+      return BvFormula::mkNot(L);
+    case 1:
+      return BvFormula::mkAnd(L, formula(R, Depth - 1));
+    case 2:
+      return BvFormula::mkOr(L, formula(R, Depth - 1));
+    default:
+      return BvFormula::mkImplies(L, formula(R, Depth - 1));
+    }
+  }
+
+  /// Satisfiability by enumerating the window bits (all others zero).
+  bool anyModel(const BvFormulaRef &F) const {
+    for (unsigned Mask = 0; Mask < (1u << (2 * Ws.size())); ++Mask) {
+      std::vector<std::pair<std::string, Bitvector>> Assign{
+          {"w", Bitvector(256)}, {"v", Bitvector(320)}};
+      for (size_t I = 0; I < Ws.size(); ++I)
+        for (size_t B = 0; B < 2; ++B)
+          if (Mask >> (2 * I + B) & 1)
+            Assign[Ws[I].Name == std::string("w") ? 0 : 1]
+                .second.setBit(Ws[I].Lo + B, true);
+      if (evalFormula(F, Assign))
+        return true;
+    }
+    return false;
+  }
+};
+
+TEST_P(BlastFuzz, WideVariablesThroughNarrowExtracts) {
+  leapfrog::testing::reportFuzzConfig("BlastFuzz.Wide", fuzzIters(300),
+                                      uint64_t(GetParam()) + 4242);
+  Rng R{uint64_t(GetParam()) + 4242};
+  WideWindows Win(R);
+  // Goals are blasted inside guarded scopes, so a variable a goal
+  // mentions first is allocated inside one; later premises and goals
+  // must read the same bits after the scope pops.
+  BitBlastSolver Incremental, OneShot;
+  auto Sess = Incremental.openSession();
+  BvFormulaRef Premises = BvFormula::mkTrue();
+  for (int Round = 0; Round < 6; ++Round) {
+    if (Round > 0 && R.below(2) == 0) {
+      BvFormulaRef P = Win.formula(R, 2);
+      Sess->assertPremise(P);
+      Premises = BvFormula::mkAnd(Premises, P);
+    }
+    BvFormulaRef Goal = Win.formula(R, 2);
+    BvFormulaRef Conj = BvFormula::mkAnd(Premises, Goal);
+    bool AnySat = Win.anyModel(Conj);
+    Model M;
+    ASSERT_EQ(Sess->checkSatUnderPremises(Goal, &M) == SatResult::Sat,
+              AnySat)
+        << "round " << Round << ": " << Conj->str();
+    ASSERT_EQ(OneShot.checkSat(Conj, nullptr) == SatResult::Sat, AnySat)
+        << Conj->str();
+    if (!AnySat)
+      continue;
+    for (const char *N : {"w", "v"})
+      if (std::none_of(M.begin(), M.end(),
+                       [N](const auto &KV) { return KV.first == N; }))
+        M.emplace_back(N, Bitvector(N[0] == 'w' ? 256 : 320));
+    EXPECT_TRUE(evalFormula(Conj, M)) << Conj->str();
   }
 }
 
@@ -450,6 +574,52 @@ TEST(Session, CertifyingSessionChecksEntailmentSlice) {
   // trail rather than in the clause database, so no clauses were reused.
   EXPECT_GE(S.stats().CertifiedUnsat, 1u);
   EXPECT_EQ(S.stats().ReusedClauses, 0u);
+}
+
+TEST(Session, GoalReusedAsPremiseRecordsTheSameInputs) {
+  // The checker hands an extended goal's own formula object to its
+  // guard's session as a premise. The goal was blasted in a guarded
+  // scope whose cache entries popped with it, so asserting that object
+  // must record exactly the input clauses a fresh, structurally equal
+  // copy records — Tseitin connectives included.
+  auto Build = [] {
+    BvTermRef W = var("w", 256);
+    return BvFormula::mkOr(
+        BvFormula::mkEq(BvTerm::mkExtract(W, 3, 5), lit("101")),
+        BvFormula::mkImplies(
+            BvFormula::mkEq(BvTerm::mkConcat(BvTerm::mkExtract(W, 200, 200),
+                                             BvTerm::mkExtract(W, 7, 7)),
+                            lit("11")),
+            BvFormula::mkNot(BvFormula::mkEq(BvTerm::mkExtract(W, 250, 251),
+                                             BvTerm::mkExtract(W, 4, 5)))));
+  };
+  auto Inputs = [&](bool Reuse) {
+    BitBlastSolver S;
+    ProofLog Log;
+    EXPECT_TRUE(S.attachProofLog(&Log));
+    {
+      auto Sess = S.openSession();
+      Sess->assertPremise(
+          BvFormula::mkEq(BvTerm::mkExtract(var("w", 256), 0, 1), lit("10")));
+      BvFormulaRef Goal = Build();
+      EXPECT_FALSE(Sess->isEntailed(Goal));
+      Sess->assertPremise(Reuse ? Goal : Build());
+      EXPECT_TRUE(Sess->isEntailed(Build()));
+    }
+    S.detachProofLog();
+    std::vector<std::vector<int>> In;
+    for (size_t I = 0; I < Log.streamCount(); ++I)
+      for (const ProofEvent &E : Log.stream(I).Events)
+        if (E.K == ProofEvent::Kind::Input) {
+          In.emplace_back();
+          for (Lit L : E.Lits)
+            In.back().push_back(L.X);
+        }
+    return In;
+  };
+  std::vector<std::vector<int>> Reused = Inputs(true);
+  EXPECT_FALSE(Reused.empty());
+  EXPECT_EQ(Reused, Inputs(false));
 }
 
 TEST(Session, TwoSolverInstancesShareNoState) {

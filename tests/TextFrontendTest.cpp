@@ -471,6 +471,52 @@ TEST(TextFrontend, ErrorsAreCappedAndParserTerminates) {
   EXPECT_LE(R.Errors.size(), 24u);
 }
 
+/// A one-state program whose select discriminant is \p Discriminant.
+std::string selectOn(const std::string &Discriminant) {
+  return "header h : 8;\nentry start;\nstate start {\n  extract(h);\n"
+         "  select(" +
+         Discriminant +
+         ") {\n    (0b00000000) => accept;\n    (_) => reject;\n  }\n}\n";
+}
+
+std::string repeated(const std::string &Unit, size_t N) {
+  std::string S;
+  for (size_t I = 0; I < N; ++I)
+    S += Unit;
+  return S;
+}
+
+TEST(TextFrontend, HostileNestingIsOneLocatedError) {
+  // A select discriminant inside 100 000 parentheses killed
+  // `leapfrog-cli --file` with SIGSEGV, and so did a 100 000-long '++' or
+  // slice chain (later passes recurse once per operator). Each is now one
+  // diagnostic at the token that crossed the limit: the discriminant
+  // starts at column 10, so the 257th '(' sits at 10 + 256 and the 257th
+  // '[' at 11 + 256 * 5, with the 257th '++' one column further.
+  const size_t N = 100000;
+  const struct {
+    std::string Text;
+    const char *Position;
+  } Cases[] = {
+      {selectOn(repeated("(", N) + "h" + repeated(")", N)), "5:266: "},
+      {selectOn("h" + repeated(" ++ h", N)), "5:1292: "},
+      {selectOn("h" + repeated("[0:7]", N)), "5:1291: "},
+  };
+  for (const auto &C : Cases) {
+    TextParseResult R = parseSurface(C.Text);
+    ASSERT_EQ(R.Errors.size(), 1u) << R.Errors.front();
+    EXPECT_EQ(R.Errors[0].find(std::string(C.Position) +
+                               "expression nests deeper than 256"),
+              0u)
+        << R.Errors[0];
+  }
+  // At the limit the program still parses and elaborates.
+  TextParseResult AtLimit =
+      parseSurface(selectOn(repeated("(", 256) + "h" + repeated(")", 256)));
+  ASSERT_TRUE(AtLimit.ok()) << AtLimit.Errors.front();
+  EXPECT_TRUE(elaborate(AtLimit.Program).ok());
+}
+
 TEST(TextFrontend, TailRecursiveSubparserCallIsAccepted) {
   // Recursion with an *inherited* continuation elaborates to a loop
   // (memoized instance), so it must parse cleanly.
