@@ -64,6 +64,16 @@ PureRef core::transitionCondition(const Ctx &C, Side S,
   if (Tz.IsGoto)
     return Tz.GotoTarget == Target ? Pure::mkTrue() : Pure::mkFalse();
 
+  // Only cases up to the last one that targets Target can contribute;
+  // reject also collects the fall-through, which needs every case.
+  size_t End = Tz.Cases.size();
+  if (!Target.isReject()) {
+    while (End > 0 && Tz.Cases[End - 1].Target != Target)
+      --End;
+    if (End == 0)
+      return Pure::mkFalse();
+  }
+
   // Symbolic discriminant tuple over the post-store.
   std::vector<BitExprRef> Ds;
   Ds.reserve(Tz.Discriminants.size());
@@ -73,7 +83,8 @@ PureRef core::transitionCondition(const Ctx &C, Side S,
   // Case i fires iff its patterns match and no earlier case matched.
   PureRef NoneBefore = Pure::mkTrue();
   PureRef Reached = Pure::mkFalse();
-  for (const p4a::SelectCase &Case : Tz.Cases) {
+  for (size_t CaseIdx = 0; CaseIdx < End; ++CaseIdx) {
+    const p4a::SelectCase &Case = Tz.Cases[CaseIdx];
     PureRef Matches = Pure::mkTrue();
     for (size_t I = 0; I < Case.Pats.size(); ++I) {
       const p4a::Pattern &P = Case.Pats[I];

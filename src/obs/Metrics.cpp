@@ -7,8 +7,9 @@
 
 #include "obs/Metrics.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace leapfrog {
@@ -125,31 +126,6 @@ uint64_t MetricsSnapshot::counter(const std::string &Name) const {
 }
 
 namespace {
-
-// Metric names are our own identifiers (dotted lowercase ASCII), but escape
-// defensively so the output is always valid JSON.
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
 
 std::string prometheusName(const std::string &Name) {
   std::string Out = "leapfrog_";

@@ -7,7 +7,8 @@
 
 #include "obs/Trace.h"
 
-#include <cstdio>
+#include "support/StringUtils.h"
+
 #include <fstream>
 
 namespace leapfrog {
@@ -20,35 +21,6 @@ std::atomic<TraceSink *> GlobalSink{nullptr};
 uint32_t nextThreadId() {
   static std::atomic<uint32_t> Next{1};
   return Next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include "serve/Json.h"
 
+#include "support/StringUtils.h"
+
 #include <cassert>
 #include <cctype>
 #include <cmath>
@@ -54,44 +56,6 @@ std::string Json::getString(const std::string &Key,
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += char(C);
-      }
-    }
-  }
-  Out += '"';
-}
-
 void serializeInto(const Json &J, std::string &Out) {
   switch (J.kind()) {
   case Json::Kind::Null:
@@ -117,7 +81,7 @@ void serializeInto(const Json &J, std::string &Out) {
     break;
   }
   case Json::Kind::String:
-    appendEscaped(Out, J.asString());
+    appendJsonString(Out, J.asString());
     break;
   case Json::Kind::Array: {
     Out += '[';
@@ -138,7 +102,7 @@ void serializeInto(const Json &J, std::string &Out) {
       if (!First)
         Out += ',';
       First = false;
-      appendEscaped(Out, KV.first);
+      appendJsonString(Out, KV.first);
       Out += ':';
       serializeInto(KV.second, Out);
     }

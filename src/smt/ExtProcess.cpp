@@ -44,45 +44,7 @@ void ignoreSigpipeOnce() {
 
 } // namespace
 
-ExtProcess::ExtProcess() {
-  // The cancellation self-pipe lives for the whole object, across any
-  // number of start()/kill() cycles, so requestInterrupt() from another
-  // thread never races a closing fd. Both ends non-blocking: a full pipe
-  // on request just means an interrupt is already pending, and draining
-  // must never block the owning thread.
-  int P[2] = {-1, -1};
-  if (::pipe2(P, O_CLOEXEC) == 0) {
-    ::fcntl(P[0], F_SETFL, O_NONBLOCK);
-    ::fcntl(P[1], F_SETFL, O_NONBLOCK);
-    IntR = P[0];
-    IntW = P[1];
-  }
-}
-
-ExtProcess::~ExtProcess() {
-  kill();
-  if (IntR >= 0)
-    ::close(IntR);
-  if (IntW >= 0)
-    ::close(IntW);
-}
-
-void ExtProcess::requestInterrupt() {
-  if (IntW < 0)
-    return;
-  char Byte = 1;
-  // EAGAIN means the pipe already holds a pending request — equivalent.
-  ssize_t Ignored = ::write(IntW, &Byte, 1);
-  (void)Ignored;
-}
-
-void ExtProcess::clearInterruptRequest() {
-  if (IntR < 0)
-    return;
-  char Sink[64];
-  while (::read(IntR, Sink, sizeof(Sink)) > 0)
-    ;
-}
+ExtProcess::~ExtProcess() { kill(); }
 
 bool ExtProcess::start(const std::vector<std::string> &Argv,
                        std::string *Error) {
@@ -190,22 +152,16 @@ ExtProcess::IoResult ExtProcess::writeLine(const std::string &Line,
         long long Remaining = Deadline - nowMs();
         if (Remaining <= 0)
           return IoResult::Timeout;
-        struct pollfd Pfds[2];
-        Pfds[0].fd = InFd;
-        Pfds[0].events = POLLOUT;
-        Pfds[1].fd = IntR;
-        Pfds[1].events = POLLIN;
-        int PollRes = ::poll(Pfds, IntR >= 0 ? 2 : 1,
+        struct pollfd Pfd;
+        Pfd.fd = InFd;
+        Pfd.events = POLLOUT;
+        int PollRes = ::poll(&Pfd, 1,
                              int(Remaining > 0x7fffffff ? 0x7fffffff
                                                         : Remaining));
         if (PollRes == 0)
           return IoResult::Timeout;
         if (PollRes < 0 && errno != EINTR)
           return IoResult::Error;
-        if (PollRes > 0 && IntR >= 0 && (Pfds[1].revents & POLLIN)) {
-          clearInterruptRequest();
-          return IoResult::Interrupted;
-        }
         continue;
       }
       return errno == EPIPE ? IoResult::Eof : IoResult::Error;
@@ -219,24 +175,15 @@ ExtProcess::IoResult ExtProcess::fill(long long DeadlineMs) {
   long long Remaining = DeadlineMs - nowMs();
   if (Remaining < 0)
     Remaining = 0;
-  struct pollfd Pfds[2];
-  Pfds[0].fd = OutFd;
-  Pfds[0].events = POLLIN;
-  Pfds[1].fd = IntR;
-  Pfds[1].events = POLLIN;
-  int PollRes = ::poll(Pfds, IntR >= 0 ? 2 : 1,
-                       int(Remaining > 0x7fffffff ? 0x7fffffff : Remaining));
+  struct pollfd Pfd;
+  Pfd.fd = OutFd;
+  Pfd.events = POLLIN;
+  int PollRes =
+      ::poll(&Pfd, 1, int(Remaining > 0x7fffffff ? 0x7fffffff : Remaining));
   if (PollRes == 0)
     return IoResult::Timeout;
   if (PollRes < 0)
     return errno == EINTR ? IoResult::Ok : IoResult::Error;
-  // Cancellation beats data: a decided race needs the leg released now,
-  // and any reply bytes become moot once the process is restarted.
-  if (IntR >= 0 && (Pfds[1].revents & POLLIN)) {
-    clearInterruptRequest();
-    return IoResult::Interrupted;
-  }
-  struct pollfd &Pfd = Pfds[0];
   if (!(Pfd.revents & (POLLIN | POLLHUP | POLLERR)))
     return IoResult::Ok;
   char Chunk[4096];

@@ -39,10 +39,9 @@ public:
     Timeout, ///< The deadline expired before a complete reply arrived.
     Eof,     ///< The child closed its stdout (it exited or crashed).
     Error,   ///< An OS-level pipe error (EPIPE on write, read failure).
-    Interrupted, ///< requestInterrupt() fired while the operation waited.
   };
 
-  ExtProcess();
+  ExtProcess() = default;
   ~ExtProcess();
 
   ExtProcess(const ExtProcess &) = delete;
@@ -77,19 +76,6 @@ public:
   /// whole reply must arrive within \p TimeoutMs milliseconds.
   IoResult readReply(std::string &Out, int TimeoutMs);
 
-  /// Cooperative cancellation via a self-pipe: requestInterrupt() may be
-  /// called from ANY thread (a single-byte pipe write is async-signal and
-  /// thread safe) and makes the blocked read/write on the owning thread
-  /// return IoResult::Interrupted promptly. The self-pipe is created once
-  /// in the constructor and lives for the whole object — kill()/start()
-  /// cycles don't disturb it, so a concurrent requestInterrupt() never
-  /// races a closing fd. A request posted while nothing is blocked stays
-  /// pending and would trip the next operation; callers re-arming for a
-  /// fresh query must clearInterruptRequest() first (the portfolio leg
-  /// pickup protocol does).
-  void requestInterrupt();
-  void clearInterruptRequest();
-
 private:
   /// Refills Buffer from the child's stdout; respects \p DeadlineMs as an
   /// absolute monotonic deadline.
@@ -98,8 +84,6 @@ private:
   int Pid = -1;
   int InFd = -1;  ///< Write end: the child's stdin.
   int OutFd = -1; ///< Read end: the child's stdout.
-  int IntR = -1;  ///< Self-pipe read end, polled alongside the child fds.
-  int IntW = -1;  ///< Self-pipe write end: requestInterrupt() posts here.
   std::string Buffer; ///< Bytes read but not yet consumed by readReply.
 };
 

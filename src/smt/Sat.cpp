@@ -497,7 +497,6 @@ void SatSolver::analyzeFinal(Lit A) {
 bool SatSolver::solveUnderAssumptions(const std::vector<Lit> &Assumptions) {
   ++S.Solves;
   FailedAssumptions.clear();
-  Interrupted = false;
   backtrack(0); // Discard decisions from any previous call.
   if (Unsat)
     return false;
@@ -520,14 +519,6 @@ bool SatSolver::solveUnderAssumptions(const std::vector<Lit> &Assumptions) {
   std::vector<Lit> Learnt;
 
   for (;;) {
-    if (InterruptFlag && InterruptFlag->load(std::memory_order_relaxed)) {
-      // Abandoned, not refuted: undo decisions, report false without
-      // logging a lemma (nothing was derived), and let the caller read
-      // interrupted() to distinguish this from a genuine UNSAT.
-      backtrack(0);
-      Interrupted = true;
-      return false;
-    }
     ClauseRef Conflict = propagate();
     if (Conflict != NoReason) {
       ++S.Conflicts;

@@ -22,7 +22,6 @@
 #ifndef LEAPFROG_SMT_SAT_H
 #define LEAPFROG_SMT_SAT_H
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -184,18 +183,6 @@ public:
     Sink = Snk;
   }
 
-  /// Cooperative interruption. When \p F is non-null, the search loop
-  /// polls it (relaxed) once per iteration; the first observed true makes
-  /// the current solve call undo its decisions and return false without
-  /// learning a lemma from the abandonment. interrupted() then reports
-  /// that the false was an interrupt, not a real UNSAT — the clause
-  /// database is untouched and the solver remains usable, so the caller
-  /// must check it before trusting any false return. The flag is owned by
-  /// the caller (typically another thread's cancellation signal) and is
-  /// not cleared here.
-  void setInterruptFlag(const std::atomic<bool> *F) { InterruptFlag = F; }
-  bool interrupted() const { return Interrupted; }
-
   /// Statistics, reported by the benchmark harness.
   struct Stats {
     uint64_t Conflicts = 0;
@@ -294,8 +281,6 @@ private:
   std::vector<Lit> FailedAssumptions;
   size_t LearntCount = 0;
   bool Unsat = false;
-  const std::atomic<bool> *InterruptFlag = nullptr;
-  bool Interrupted = false;
   ProofSink *Sink = nullptr;
   Stats S;
 };

@@ -10,7 +10,6 @@
 #include "obs/Clock.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "smt/Portfolio.h"
 #include "smt/SmtLib.h"
 
 #include <cassert>
@@ -163,24 +162,10 @@ void SmtLibSolver::processFailure(const char *What) {
     Permanent = true;
 }
 
-void SmtLibSolver::interruptedTeardown() {
-  // A cancelled exchange leaves the dialogue desynced mid-query, so the
-  // process cannot be reused — but unlike processFailure this charges no
-  // failure budget and prints no warning: the portfolio cancelling a
-  // losing leg is the mechanism working, not the solver misbehaving. The
-  // next query respawns (ensureProcess bumps the epoch) and every session
-  // replays its premises through the normal resync path.
-  Proc.kill();
-  Declared.clear();
-}
-
 bool SmtLibSolver::exchange(const std::string &Line, std::string &Reply) {
   switch (Proc.writeLine(Line, Config.QueryTimeoutMs)) {
   case ExtProcess::IoResult::Ok:
     break;
-  case ExtProcess::IoResult::Interrupted:
-    interruptedTeardown();
-    return false;
   case ExtProcess::IoResult::Timeout:
     ++Ext.Timeouts;
     processFailure("write timeout (solver stopped reading stdin)");
@@ -193,9 +178,6 @@ bool SmtLibSolver::exchange(const std::string &Line, std::string &Reply) {
   switch (Proc.readReply(Reply, Config.QueryTimeoutMs)) {
   case ExtProcess::IoResult::Ok:
     return true;
-  case ExtProcess::IoResult::Interrupted:
-    interruptedTeardown();
-    return false;
   case ExtProcess::IoResult::Timeout:
     ++Ext.Timeouts;
     processFailure("reply timeout");
@@ -485,7 +467,7 @@ public:
   /// pending goal in a single wire round-trip; a sat round's model is
   /// fetched once and evaluated against each pending goal (evalFormula,
   /// no Boolean model parsing needed), resolving every goal it satisfies
-  /// as Sat. Externally unresolved goals (process death, cancellation,
+  /// as Sat. Externally unresolved goals (process death, timeout,
   /// protocol error) fall back to the mirrored in-repo session — batched
   /// there too.
   void checkSatBatch(const std::vector<BvFormulaRef> &Goals,
@@ -765,9 +747,7 @@ SatResult CrossCheckSolver::checkSat(const BvFormulaRef &F, Model *M) {
   SatResult RefR = Ref->checkSat(F, M);
   SatResult ExtR = Extern->checkSat(F, nullptr);
   ++X.Checked;
-  // A cancelled leg answers garbage by contract; comparing it would turn
-  // every lost portfolio race into a spurious divergence abort.
-  if (RefR != ExtR && !interrupted())
+  if (RefR != ExtR)
     diverged(F, RefR, ExtR);
   uint64_t Micros = Watch.elapsedMicros();
   ++Stats.Queries;
@@ -803,8 +783,7 @@ public:
     SatResult RefR = RefSess->checkSatUnderPremises(Goal, M);
     SatResult ExtR = ExtSess->checkSatUnderPremises(Goal, nullptr);
     ++Owner.X.Checked;
-    // Cancelled legs answer garbage (see CrossCheckSolver::checkSat).
-    if (RefR != ExtR && !Owner.interrupted()) {
+    if (RefR != ExtR) {
       // Fold the premises into the dumped query so the script reproduces
       // the disagreement standalone.
       BvFormulaRef Conj = Goal;
@@ -869,41 +848,6 @@ smt::createSolverBackend(const std::string &Spec, std::string *Error) {
     return std::make_unique<CrossCheckSolver>(
         std::make_unique<BitBlastSolver>(), MakeExternal(Cmd));
   }
-  if (Spec.rfind("portfolio:", 0) == 0) {
-    // Legs are comma-separated backend specs, resolved recursively. The
-    // split is a naive top-level comma scan — none of the accepted leg
-    // specs (bitblast, smtlib:<cmd>, crosscheck[:<cmd>]) can legally
-    // contain a comma, and nesting a portfolio inside a portfolio is
-    // rejected outright (racing races buys nothing but thread soup).
-    std::string Body = Spec.substr(10);
-    std::vector<std::string> LegSpecs;
-    size_t Pos = 0;
-    while (Pos <= Body.size()) {
-      size_t Comma = Body.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Body.size();
-      LegSpecs.push_back(Body.substr(Pos, Comma - Pos));
-      Pos = Comma + 1;
-    }
-    std::vector<std::unique_ptr<SmtSolver>> LegSolvers;
-    for (const std::string &LegSpec : LegSpecs) {
-      if (LegSpec.empty())
-        return Fail("portfolio: empty leg spec in '" + Spec + "'");
-      if (LegSpec.rfind("portfolio", 0) == 0)
-        return Fail("portfolio: legs cannot be portfolios themselves");
-      std::string LegErr;
-      std::unique_ptr<SmtSolver> LegSolver =
-          createSolverBackend(LegSpec, &LegErr);
-      if (!LegSolver)
-        return Fail("portfolio: bad leg '" + LegSpec + "': " + LegErr);
-      LegSolvers.push_back(std::move(LegSolver));
-    }
-    if (LegSolvers.empty())
-      return Fail("portfolio: needs at least one leg, e.g. "
-                  "portfolio:bitblast,smtlib:z3 -in");
-    return std::make_unique<PortfolioSolver>(std::move(LegSolvers));
-  }
   return Fail("unknown backend '" + Spec +
-              "' (expected bitblast, smtlib:<cmd>, crosscheck[:<cmd>], or "
-              "portfolio:<leg>,<leg>,…)");
+              "' (expected bitblast, smtlib:<cmd> or crosscheck[:<cmd>])");
 }

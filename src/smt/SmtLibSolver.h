@@ -120,28 +120,6 @@ public:
   /// solver invocations are flag lists, not shell scripts).
   static std::vector<std::string> splitCommand(const std::string &Cmd);
 
-  /// Cooperative cancellation (see SmtSolver::interrupt): posts to the
-  /// process's self-pipe so a blocked pipe read/write returns promptly,
-  /// and interrupts the embedded fallback solver so a query answered
-  /// in-repo abandons just as fast. An interrupted wire exchange kills
-  /// the process (the dialogue is desynced mid-query) but does NOT charge
-  /// the failure budget — cancellation is the portfolio working as
-  /// intended, not the solver misbehaving; the next query respawns and
-  /// sessions resync their premises through the epoch mechanism.
-  void interrupt() override {
-    IntRequested.store(true, std::memory_order_relaxed);
-    Fallback.interrupt();
-    Proc.requestInterrupt();
-  }
-  bool interrupted() const override {
-    return IntRequested.load(std::memory_order_relaxed);
-  }
-  void clearInterrupt() override {
-    IntRequested.store(false, std::memory_order_relaxed);
-    Fallback.clearInterrupt();
-    Proc.clearInterruptRequest();
-  }
-
 private:
   class ExtSession;
 
@@ -178,9 +156,6 @@ private:
   /// ones it attributes answers to.
   bool readModelRaw(const std::vector<BvFormulaRef> &Scope,
                     const std::string &Prefix, Model *M);
-  /// Tears the process down after an interrupted exchange: the dialogue
-  /// is desynced, but no failure is charged (see interrupt()).
-  void interruptedTeardown();
 
   SmtLibConfig Config;
   ExtProcess Proc;
@@ -194,8 +169,6 @@ private:
   uint64_t SessionCounter = 0; ///< Session id / prefix source.
   /// Sanitized symbol → width, declared at the live process's base level.
   std::unordered_map<std::string, size_t> Declared;
-  /// Set by interrupt() (any thread), cleared by clearInterrupt().
-  std::atomic<bool> IntRequested{false};
   /// In-repo answers for everything the external process cannot provide.
   BitBlastSolver Fallback;
 };
@@ -235,20 +208,6 @@ public:
     return Ref->supportsProofCapture();
   }
 
-  /// Cancellation fans out to both legs; either leg reporting an
-  /// abandoned query makes the whole cross-checked answer garbage.
-  void interrupt() override {
-    Ref->interrupt();
-    Extern->interrupt();
-  }
-  bool interrupted() const override {
-    return Ref->interrupted() || Extern->interrupted();
-  }
-  void clearInterrupt() override {
-    Ref->clearInterrupt();
-    Extern->clearInterrupt();
-  }
-
   struct XStats {
     uint64_t Checked = 0;     ///< Queries posed to both backends.
     uint64_t Divergences = 0; ///< sat/unsat disagreements observed.
@@ -276,11 +235,6 @@ private:
 ///                          "smtlib:z3 -in", "smtlib:cvc5 --incremental"
 ///   "crosscheck"         — bitblast vs "z3 -in", hard-fail on divergence
 ///   "crosscheck:<cmd>"   — bitblast vs the given solver command
-///   "portfolio:<leg>,…"  — race the comma-separated leg specs per query,
-///                          first answer wins, losers are cancelled; e.g.
-///                          "portfolio:bitblast,smtlib:z3 -in". Legs may
-///                          be any non-portfolio spec (crosscheck legs
-///                          compose). No proof capture (see Portfolio.h).
 ///
 /// Returns nullptr and fills \p Error on a malformed spec. A well-formed
 /// spec whose binary turns out to be missing still succeeds here: the

@@ -212,18 +212,11 @@ public:
     Sat->addClause(~Activation, blastGoal(Goal));
     bool IsSat = Sat->solveUnderAssumptions({Activation});
     ++Owner.Stats.RoundTrips;
-    // An interrupted solve derived nothing: its false is an abandonment,
-    // not an UNSAT, so closing a proof slice from it would be unsound.
-    // Interruption is a portfolio-race mechanism and the portfolio
-    // backend refuses proof capture, so the two never legitimately meet.
-    bool WasInterrupted = Sat->interrupted();
-    assert(!(WasInterrupted && Stream) &&
-           "interrupted solve under proof capture");
     // The goal-end marker must precede the retirement unit below: a
     // checker validates the UNSAT core against the database as of the
     // answer, and the retirement unit {¬act} is only sound input *after*
     // the goal has been closed (it would otherwise trivialize the slice).
-    if (Stream && !WasInterrupted)
+    if (Stream)
       finishGoalProof(IsSat, GoalId);
     if (IsSat && M) {
       // Read the model before touching the clause DB again: adding the
@@ -351,9 +344,6 @@ public:
       Sat->addClause(std::move(Disj));
       bool RoundSat = Sat->solveUnderAssumptions({B});
       ++St.RoundTrips;
-      if (Sat->interrupted())
-        break; // Abandoned race: every remaining answer is garbage and
-               // the caller (the portfolio loser) discards the batch.
       if (!RoundSat) {
         for (size_t I = 0; I < Goals.size(); ++I)
           if (!Resolved[I]) {
@@ -465,9 +455,6 @@ private:
       Stream->restart();
     Sat = std::make_unique<SatSolver>();
     Sat->setReducePolicy(Owner.SessionReduce);
-    // Portfolio cancellation: the owner's Stop flag reaches every CDCL
-    // incarnation this session ever builds.
-    Sat->setInterruptFlag(&Owner.Stop);
     if (Stream)
       Sat->setProofSink(Stream);
     Blaster = std::make_unique<BitBlaster>(*Sat);
@@ -568,7 +555,6 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   SatSolver::ReducePolicy OneShot;
   OneShot.Enabled = false;
   Sat.setReducePolicy(OneShot);
-  Sat.setInterruptFlag(&Stop);
   ProofStream Raw;
   if (CertifyUnsat || CaptureLog)
     Sat.setProofSink(&Raw);
@@ -576,13 +562,8 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
   Blaster.assertFormula(F);
   bool IsSat = Sat.solve();
   ++Stats.RoundTrips;
-  // An interrupted false is an abandonment, not an UNSAT: certifying or
-  // capturing it would validate a claim the solver never made. The
-  // answer itself is garbage; the interrupting caller (portfolio)
-  // discards it after checking interrupted().
-  bool WasInterrupted = Sat.interrupted();
 
-  if (!IsSat && (CertifyUnsat || CaptureLog) && !WasInterrupted) {
+  if (!IsSat && (CertifyUnsat || CaptureLog)) {
     // Record the whole one-shot solve as a single unguarded goal: inputs
     // first, then the lemmas (RUP is monotone in the database and a
     // one-shot solve deletes nothing, so the lost interleaving with

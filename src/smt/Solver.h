@@ -197,19 +197,6 @@ public:
   /// True when attachProofLog() would succeed on this backend.
   virtual bool supportsProofCapture() const { return false; }
 
-  /// Cooperative cancellation, used by the portfolio backend to stop the
-  /// losing leg once a race is decided. interrupt() may be called from
-  /// any thread and requests that the solve in flight (if any) abandon
-  /// its search as soon as practical; an abandoned query's answer is
-  /// garbage and interrupted() — polled from the solving thread — reports
-  /// that. clearInterrupt() re-arms the backend for the next query. The
-  /// base implementations are no-ops: a backend that cannot be
-  /// interrupted simply runs its query to completion and never reports
-  /// interrupted(), which is always sound, just slower to cancel.
-  virtual void interrupt() {}
-  virtual bool interrupted() const { return false; }
-  virtual void clearInterrupt() {}
-
   /// Decides satisfiability of \p F over its free variables; fills \p M
   /// with a witness when satisfiable (pass nullptr to skip).
   ///
@@ -317,22 +304,8 @@ public:
   /// purge at every opportunity.
   size_t SessionPurgeBatch = 2048;
 
-  /// Cooperative cancellation: the interrupt flag is wired into every
-  /// CDCL instance this backend creates (session solvers at build time,
-  /// one-shot solvers per query), which poll it once per search
-  /// iteration. See SmtSolver::interrupt().
-  void interrupt() override { Stop.store(true, std::memory_order_relaxed); }
-  bool interrupted() const override {
-    return Stop.load(std::memory_order_relaxed);
-  }
-  void clearInterrupt() override {
-    Stop.store(false, std::memory_order_relaxed);
-  }
-
 private:
   class Session; ///< The incremental openSession() backend (Solver.cpp).
-  /// Cancellation flag polled by this backend's CDCL instances.
-  std::atomic<bool> Stop{false};
   /// Destination for proof streams while attached; sessions opened while
   /// set record into it, and one-shot UNSAT answers add one-shot streams.
   ProofLog *CaptureLog = nullptr;

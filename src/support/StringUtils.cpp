@@ -8,6 +8,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cstdio>
 
 using namespace leapfrog;
 
@@ -54,4 +55,42 @@ std::vector<std::string> leapfrog::splitAndTrim(const std::string &S,
   if (!T.empty())
     Pieces.push_back(T);
   return Pieces;
+}
+
+void leapfrog::appendJsonString(std::string &Out, const std::string &S) {
+  Out += '"';
+  for (unsigned char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (C < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += char(C);
+      }
+    }
+  }
+  Out += '"';
 }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Formatting helpers shared by the pretty-printers (P4A text format,
-/// ConfRel debug dumps, SMT-LIB emission).
+/// ConfRel debug dumps, SMT-LIB emission) and the JSON writers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +32,11 @@ std::string trim(const std::string &S);
 /// Splits on any character in \p Delims, dropping empty pieces.
 std::vector<std::string> splitAndTrim(const std::string &S,
                                       const std::string &Delims);
+
+/// Appends \p S to \p Out as a quoted JSON string literal: quote and
+/// backslash escaped, the short escapes for \b \f \n \r \t, \uXXXX for
+/// any other control character, every other byte verbatim.
+void appendJsonString(std::string &Out, const std::string &S);
 
 } // namespace leapfrog
 

@@ -33,7 +33,6 @@
 #include "core/Checker.h"
 #include "core/Engine.h"
 #include "parsers/CaseStudies.h"
-#include "smt/Portfolio.h"
 #include "smt/SmtLibSolver.h"
 
 #include <gtest/gtest.h>
@@ -222,6 +221,10 @@ TEST(BackendFactory, ParsesSpecs) {
   EXPECT_FALSE(Err.empty());
   EXPECT_EQ(createSolverBackend("crosscheck:", &Err), nullptr);
   EXPECT_EQ(createSolverBackend("qbf:magic", &Err), nullptr);
+  // There is no racing backend: a portfolio spec is unknown like any other.
+  EXPECT_EQ(createSolverBackend("portfolio:bitblast,bitblast", &Err),
+            nullptr);
+  EXPECT_NE(Err.find("unknown backend"), std::string::npos) << Err;
 }
 
 TEST(BackendFactory, SplitCommand) {
@@ -378,6 +381,50 @@ void expectCorrectAnswers(SmtSolver &S) {
   EXPECT_TRUE(evalFormula(Sat, M));
 }
 
+/// Open file-descriptor count of this process — the leak check bracket
+/// around a solver's construction/destruction.
+size_t openFdCount() {
+  DIR *D = opendir("/proc/self/fd");
+  if (!D)
+    return 0; // Not a procfs platform; the bracket degrades to 0 == 0.
+  size_t N = 0;
+  while (struct dirent *E = readdir(D))
+    if (E->d_name[0] != '.')
+      ++N;
+  closedir(D);
+  return N;
+}
+
+/// PIDs the mock solver appended to \p Path (LEAPFROG_MOCK_PIDFILE).
+std::vector<pid_t> readPidFile(const std::string &Path) {
+  std::vector<pid_t> Pids;
+  std::ifstream In(Path);
+  long Pid;
+  while (In >> Pid)
+    Pids.push_back(static_cast<pid_t>(Pid));
+  return Pids;
+}
+
+/// True when every PID in \p Pids is gone (neither running nor zombie).
+/// Retries for up to ~5 s, so a slow reap shows as a failure, not a hang.
+bool allDeadWithin5s(const std::vector<pid_t> &Pids) {
+  for (int Tries = 0; Tries < 500; ++Tries) {
+    bool AllDead = true;
+    for (pid_t P : Pids) {
+      // A zombie still answers kill(P, 0) — only a fully reaped child
+      // reports ESRCH, which is exactly the no-zombie claim.
+      if (kill(P, 0) == 0 || errno != ESRCH) {
+        AllDead = false;
+        break;
+      }
+    }
+    if (AllDead)
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 TEST(ProcessLifecycle, MissingBinaryFallsBack) {
   SmtLibSolver S(configFor("leapfrog-no-such-solver-binary --flag"));
   expectCorrectAnswers(S);
@@ -415,10 +462,31 @@ TEST(ProcessLifecycle, HangingSolverTimesOut) {
 
 TEST(ProcessLifecycle, GarbageReplyIsAProtocolError) {
   REQUIRE_MOCK(Mock, "garbage");
-  SmtLibSolver S(configFor(Mock));
-  expectCorrectAnswers(S);
-  EXPECT_GT(S.extStats().ProtocolErrors, 0u);
-  EXPECT_EQ(S.extStats().ExternalQueries, 0u);
+  // The mock records its PID before it answers the handshake, so every
+  // process this backend spawns is on file before it is killed.
+  std::string PidFile = ::testing::TempDir() + "mock_pids_" +
+                        std::to_string(static_cast<long>(getpid())) + ".txt";
+  std::remove(PidFile.c_str());
+  setenv("LEAPFROG_MOCK_PIDFILE", PidFile.c_str(), 1);
+  size_t FdsBefore = openFdCount();
+  uint64_t Spawns = 0;
+  {
+    SmtLibSolver S(configFor(Mock));
+    expectCorrectAnswers(S);
+    EXPECT_GT(S.extStats().ProtocolErrors, 0u);
+    EXPECT_EQ(S.extStats().ExternalQueries, 0u);
+    Spawns = S.extStats().Spawns;
+  }
+  unsetenv("LEAPFROG_MOCK_PIDFILE");
+  std::vector<pid_t> Pids = readPidFile(PidFile);
+  std::remove(PidFile.c_str());
+  // Each garbage reply killed its process and the next query spawned a
+  // new one. Once the solver is gone, every one of them must be fully
+  // reaped — not running, not a zombie — and every pipe fd closed.
+  EXPECT_GE(Spawns, 2u);
+  EXPECT_EQ(Pids.size(), Spawns);
+  EXPECT_TRUE(allDeadWithin5s(Pids)) << "solver process alive or a zombie";
+  EXPECT_EQ(openFdCount(), FdsBefore) << "solver process left an fd open";
 }
 
 TEST(ProcessLifecycle, ErrorReplyIsAProtocolError) {
@@ -505,221 +573,6 @@ TEST(ProcessLifecycle, LyingUnsatSolverIsExposedInSessions) {
   EXPECT_EQ(Cross->crossStats().Divergences, 1u);
   // The dump folds the premises in, so the script reproduces standalone.
   EXPECT_NE(Dump.find("(check-sat)"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Portfolio lifecycle: races decided, losers cancelled, no leaks
-//===----------------------------------------------------------------------===//
-
-/// Open file-descriptor count of this process — the leak check bracket
-/// around portfolio construction/destruction.
-size_t openFdCount() {
-  DIR *D = opendir("/proc/self/fd");
-  if (!D)
-    return 0; // Not a procfs platform; the bracket degrades to 0 == 0.
-  size_t N = 0;
-  while (struct dirent *E = readdir(D))
-    if (E->d_name[0] != '.')
-      ++N;
-  closedir(D);
-  return N;
-}
-
-/// PIDs the mock solver appended to \p Path (LEAPFROG_MOCK_PIDFILE).
-std::vector<pid_t> readPidFile(const std::string &Path) {
-  std::vector<pid_t> Pids;
-  std::ifstream In(Path);
-  long Pid;
-  while (In >> Pid)
-    Pids.push_back(static_cast<pid_t>(Pid));
-  return Pids;
-}
-
-/// True when every PID in \p Pids is gone (neither running nor zombie).
-/// Retries for up to ~5 s: the loser's teardown is asynchronous to the
-/// race result, but must complete promptly.
-bool allDeadWithin5s(const std::vector<pid_t> &Pids) {
-  for (int Tries = 0; Tries < 500; ++Tries) {
-    bool AllDead = true;
-    for (pid_t P : Pids) {
-      // A zombie still answers kill(P, 0) — only a fully reaped child
-      // reports ESRCH, which is exactly the no-zombie claim.
-      if (kill(P, 0) == 0 || errno != ESRCH) {
-        AllDead = false;
-        break;
-      }
-    }
-    if (AllDead)
-      return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-TEST(PortfolioBackend, FactoryParsesSpecs) {
-  std::string Err;
-  EXPECT_NE(createSolverBackend("portfolio:bitblast,bitblast", &Err),
-            nullptr);
-  EXPECT_NE(createSolverBackend("portfolio:bitblast,smtlib:z3 -in", &Err),
-            nullptr);
-  // A one-leg portfolio is a pointless but legal pass-through.
-  EXPECT_NE(createSolverBackend("portfolio:bitblast", &Err), nullptr);
-  EXPECT_EQ(createSolverBackend("portfolio:", &Err), nullptr);
-  EXPECT_EQ(createSolverBackend("portfolio:bitblast,", &Err), nullptr);
-  EXPECT_EQ(createSolverBackend("portfolio:,bitblast", &Err), nullptr);
-  EXPECT_EQ(
-      createSolverBackend("portfolio:bitblast,portfolio:bitblast", &Err),
-      nullptr);
-  EXPECT_EQ(createSolverBackend("portfolio:bitblast,qbf:magic", &Err),
-            nullptr);
-}
-
-TEST(PortfolioBackend, FastLegWinsSlowLegCancelledNoZombiesNoFdLeak) {
-  REQUIRE_SHIM(Shim);
-  REQUIRE_MOCK(MockSlow, "slow");
-  std::string PidFile =
-      ::testing::TempDir() + "portfolio_slow_pids_" +
-      std::to_string(static_cast<long>(getpid())) + ".txt";
-  std::remove(PidFile.c_str());
-  setenv("LEAPFROG_MOCK_PIDFILE", PidFile.c_str(), 1);
-  setenv("LEAPFROG_MOCK_SLOW_SECS", "1", 1);
-  size_t FdsBefore = openFdCount();
-  std::vector<pid_t> Pids;
-  {
-    // Leg 0: the shim (answers in milliseconds). Leg 1: the mock in slow
-    // mode — sleeps before every reply, so it loses every race but never
-    // errors. Note the PID file records *both* legs' processes (the shim
-    // ignores the variable; the mock writes it) — dead-process assertions
-    // below only read the file after both processes must have spawned.
-    std::vector<std::unique_ptr<SmtSolver>> LegSolvers;
-    LegSolvers.push_back(std::make_unique<SmtLibSolver>(configFor(Shim)));
-    LegSolvers.push_back(
-        std::make_unique<SmtLibSolver>(configFor(MockSlow)));
-    PortfolioSolver Portfolio(std::move(LegSolvers));
-    expectCorrectAnswers(Portfolio);
-    // Under CPU load the shim can win a race before the slow leg's shell
-    // has run far enough to record its PID, and the cancelled leg is
-    // killed unrecorded. Every further race respawns that leg, so race
-    // on (bounded) until one spawn has recorded itself: the reaping
-    // checks below mean something only with at least one real PID.
-    for (int Round = 0; Round < 50 && readPidFile(PidFile).empty(); ++Round)
-      expectCorrectAnswers(Portfolio);
-    // The shim answered first every time; the slow leg was interrupted
-    // mid-sleep at least once.
-    const PortfolioSolver::PStats &PS = Portfolio.portfolioStats();
-    ASSERT_EQ(PS.Wins.size(), 2u);
-    EXPECT_GT(PS.Wins[0], 0u);
-    EXPECT_EQ(PS.Wins[1], 0u);
-    EXPECT_GT(PS.Cancelled, 0u);
-    // The mock's lying unsat answers never surfaced: expectCorrectAnswers
-    // saw the shim's (validated) answers only.
-    Pids = readPidFile(PidFile);
-    EXPECT_FALSE(Pids.empty()) << "mock solver never spawned";
-  }
-  // Portfolio destroyed: every leg process must be fully reaped — not
-  // running, not a zombie — and every pipe fd closed.
-  EXPECT_TRUE(allDeadWithin5s(Pids)) << "leg process still alive/zombie";
-  EXPECT_EQ(openFdCount(), FdsBefore) << "portfolio leaked an fd";
-  unsetenv("LEAPFROG_MOCK_PIDFILE");
-  unsetenv("LEAPFROG_MOCK_SLOW_SECS");
-  std::remove(PidFile.c_str());
-}
-
-TEST(PortfolioBackend, DegenerateLegsDegradeWithoutChangingAnswers) {
-  // Legs that crash on startup, hang, or talk garbage: the SmtLibSolver
-  // inside the leg falls back to its in-repo mirror, so the leg still
-  // reports a *correct* answer — the portfolio's job is merely to keep
-  // racing through the noise. The hang leg gets a short reply timeout so
-  // its fallback (not the healthy leg's win) is what bounds the test.
-  for (const char *Mode : {"eof", "garbage", "hang"}) {
-    SCOPED_TRACE(Mode);
-    REQUIRE_MOCK(Mock, Mode);
-    std::vector<std::unique_ptr<SmtSolver>> LegSolvers;
-    LegSolvers.push_back(std::make_unique<BitBlastSolver>());
-    LegSolvers.push_back(std::make_unique<SmtLibSolver>(
-        configFor(Mock, /*TimeoutMs=*/200)));
-    PortfolioSolver Portfolio(std::move(LegSolvers));
-    expectCorrectAnswers(Portfolio);
-    const PortfolioSolver::PStats &PS = Portfolio.portfolioStats();
-    EXPECT_GT(PS.Wins[0] + PS.Wins[1], 0u);
-  }
-}
-
-TEST(PortfolioBackend, LyingLegIsExposedByStackedCrossCheck) {
-  REQUIRE_MOCK(MockSlow, "slow");
-  REQUIRE_MOCK(MockUnsat, "always-unsat");
-  setenv("LEAPFROG_MOCK_SLOW_SECS", "1", 1);
-  // Leg 0 is slow (loses every race); leg 1 stacks crosscheck over an
-  // unsat-lying mock, with validation off so the lie reaches the
-  // crosscheck layer. The portfolio takes leg 1's answer — which is the
-  // crosscheck *reference* answer, the divergence having been counted —
-  // so a lying leg inside a portfolio still cannot flip a verdict.
-  std::vector<std::unique_ptr<SmtSolver>> LegSolvers;
-  LegSolvers.push_back(
-      std::make_unique<SmtLibSolver>(configFor(MockSlow)));
-  SmtLibConfig LiarCfg = configFor(MockUnsat);
-  LiarCfg.ValidateModels = false;
-  auto Cross = std::make_unique<CrossCheckSolver>(
-      std::make_unique<BitBlastSolver>(),
-      std::make_unique<SmtLibSolver>(LiarCfg));
-  Cross->AbortOnDivergence = false;
-  LegSolvers.push_back(std::move(Cross));
-  PortfolioSolver Portfolio(std::move(LegSolvers));
-  BvTermRef X = var("x", 2);
-  ::testing::internal::CaptureStderr(); // The divergence dump is expected.
-  EXPECT_EQ(Portfolio.checkSat(BvFormula::mkEq(X, lit("10")), nullptr),
-            SatResult::Sat);
-  std::string Dump = ::testing::internal::GetCapturedStderr();
-  auto *Leg1 = dynamic_cast<CrossCheckSolver *>(&Portfolio.leg(1));
-  ASSERT_NE(Leg1, nullptr);
-  EXPECT_EQ(Leg1->crossStats().Divergences, 1u);
-  EXPECT_NE(Dump.find("SOLVER DIVERGENCE"), std::string::npos);
-  EXPECT_GT(Portfolio.portfolioStats().Wins[1], 0u);
-  unsetenv("LEAPFROG_MOCK_SLOW_SECS");
-}
-
-TEST(PortfolioBackend, SessionGoalsAndBatchesAreRaced) {
-  REQUIRE_SHIM(Shim);
-  std::vector<std::unique_ptr<SmtSolver>> LegSolvers;
-  LegSolvers.push_back(std::make_unique<BitBlastSolver>());
-  LegSolvers.push_back(std::make_unique<SmtLibSolver>(configFor(Shim)));
-  PortfolioSolver Portfolio(std::move(LegSolvers));
-  auto Sess = Portfolio.openSession();
-  BvTermRef X = var("x", 4);
-  Sess->assertPremise(BvFormula::mkEq(X, lit("1010")));
-  EXPECT_TRUE(Sess->isEntailed(BvFormula::mkEq(X, lit("1010"))));
-  EXPECT_FALSE(
-      Sess->isEntailed(BvFormula::mkEq(BvTerm::mkExtract(X, 0, 1), lit("11"))));
-  // Batches race as one unit: answers must still be per-goal exact.
-  std::vector<BvFormulaRef> Goals = {
-      BvFormula::mkNot(BvFormula::mkEq(X, lit("1010"))),
-      BvFormula::mkEq(var("y", 2), lit("01")),
-      BvFormula::mkNot(
-          BvFormula::mkEq(BvTerm::mkExtract(X, 2, 3), lit("10"))),
-  };
-  std::vector<SatResult> Out;
-  Sess->checkSatBatch(Goals, Out);
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_EQ(Out[0], SatResult::Unsat);
-  EXPECT_EQ(Out[1], SatResult::Sat);
-  EXPECT_EQ(Out[2], SatResult::Unsat);
-}
-
-TEST(PortfolioBackend, RacedLegsMatchBitBlastDecisions) {
-  REQUIRE_SHIM(Shim);
-  // A whole check over a portfolio backend: the legs race every session
-  // goal, and the decision stream must stay bit-identical to the plain
-  // bitblast run.
-  auto Studies = smallStudies();
-  ASSERT_FALSE(Studies.empty());
-  const parsers::CaseStudy &S = Studies.front();
-  BitBlastSolver Ref;
-  core::CheckResult RefRes = runStudy(S, Ref);
-  auto Portfolio =
-      createSolverBackend("portfolio:bitblast,smtlib:" + Shim, nullptr);
-  ASSERT_NE(Portfolio, nullptr);
-  core::CheckResult RacedRes = runStudy(S, *Portfolio);
-  expectSameDecisions(RefRes, RacedRes, S.Name);
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,9 +20,8 @@
 //    byte stays put — on the in-repo bit-blaster and, for the ≥30%
 //    acceptance bar, on the external SMT-LIB shim;
 //
-//  - a seeded schedule-perturbation fuzz over batch sizes and racing
-//    portfolio backends, scaled 100x by the nightly LEAPFROG_FUZZ_ITERS
-//    setting.
+//  - a seeded schedule-perturbation fuzz over batch sizes, scaled 100x
+//    by the nightly LEAPFROG_FUZZ_ITERS setting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -384,29 +383,10 @@ TEST(ScheduleFuzz, PerturbedSchedulesMatchSequential) {
     RunConfig C;
     C.MaxIterations = Cap;
     C.GoalBatch = 1 + R.below(8); // 1..8 goals per shared round-trip.
-    // Every fourth schedule also swaps in a portfolio backend — racing
-    // legs must be as decision-invisible as batching. The shim
-    // leg joins when the env provides it (the nightly fuzz entry does).
-    std::string Backend;
-    if (R.below(4) == 0) {
-      const char *Shim = std::getenv("LEAPFROG_SMTLIB_SHIM");
-      Backend = Shim && *Shim && R.below(2) == 0
-                    ? std::string("portfolio:bitblast,smtlib:") + Shim
-                    : std::string("portfolio:bitblast,bitblast");
-    }
     SCOPED_TRACE("iter " + std::to_string(I) + ": " + Study.Name +
-                 " goal-batch=" + std::to_string(C.GoalBatch) +
-                 (Backend.empty() ? "" : " backend=" + Backend));
-    std::unique_ptr<smt::SmtSolver> Racing;
-    smt::BitBlastSolver Plain;
-    smt::SmtSolver *S = &Plain;
-    if (!Backend.empty()) {
-      std::string Err;
-      Racing = smt::createSolverBackend(Backend, &Err);
-      ASSERT_NE(Racing, nullptr) << Err;
-      S = Racing.get();
-    }
-    CheckResult Res = runStudy(Study, *S, C);
+                 " goal-batch=" + std::to_string(C.GoalBatch));
+    smt::BitBlastSolver S;
+    CheckResult Res = runStudy(Study, S, C);
     expectIdenticalDecisions(Study.Name, Baselines.at(Idx), Res);
   }
 }

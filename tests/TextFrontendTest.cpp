@@ -104,10 +104,11 @@ p4a::Automaton roundTrip(const p4a::Automaton &Aut,
                 Aut.headerSize(p4a::HeaderId(H)));
     }
   EXPECT_EQ(E.Aut.numStates(), Aut.numStates());
-  if (E.Aut.numStates() == Aut.numStates())
+  if (E.Aut.numStates() == Aut.numStates()) {
     for (size_t S = 0; S < Aut.numStates(); ++S)
       EXPECT_EQ(E.Aut.stateName(p4a::StateId(S)),
                 Aut.stateName(p4a::StateId(S)));
+  }
   return std::move(E.Aut);
 }
 

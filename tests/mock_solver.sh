@@ -11,17 +11,14 @@
 #   always-sat   claim sat for everything, with an empty model — a *lying*
 #                solver, which only the crosscheck backend can expose
 #   always-unsat claim unsat for everything — lies in the other direction
-#   slow         sleep before every check-sat reply, then claim unsat — a
-#                leg that loses every portfolio race but never errors
 #
 # The script speaks just enough protocol for the handshake: every command
 # that is not a check-sat/get-model/exit draws "success" (matching
 # :print-success true, which SmtLibSolver always sets first).
 #
 # When LEAPFROG_MOCK_PIDFILE is set, the script appends its own PID to
-# that file on startup — the portfolio lifecycle tests read it back to
-# assert that every spawned leg is really dead (no zombies) after the
-# race is over.
+# that file on startup — the process-lifecycle tests read it back to
+# assert that every killed solver process is really dead (no zombies).
 
 mode="$1"
 
@@ -40,7 +37,6 @@ while IFS= read -r line; do
       case "$mode" in
         always-sat)   echo "sat" ;;
         always-unsat) echo "unsat" ;;
-        slow)         sleep "${LEAPFROG_MOCK_SLOW_SECS:-2}"; echo "unsat" ;;
         error)        echo "(error \"mock solver refuses\")" ;;
         *)            echo "flurble grumble" ;;
       esac ;;

@@ -85,10 +85,7 @@ void usage() {
       "                     process, e.g. 'smtlib:z3 -in'), or\n"
       "                     'crosscheck[:CMD]' (run both, abort on any\n"
       "                     sat/unsat divergence; CMD defaults to\n"
-      "                     'z3 -in'), or 'portfolio:LEG,LEG[,...]'\n"
-      "                     (race the legs per query, first answer wins,\n"
-      "                     losers cancelled; e.g.\n"
-      "                     'portfolio:bitblast,smtlib:z3 -in').\n"
+      "                     'z3 -in').\n"
       "                     --backend=SPEC also accepted. An\n"
       "                     unrecognized SPEC is a usage error (exit 3);\n"
       "                     a parseable SPEC whose binary is missing or\n"
