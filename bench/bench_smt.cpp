@@ -122,6 +122,10 @@ struct JsonRecord {
   /// perf gate checks the batched mode's value exactly: round_trips <
   /// queries is the whole point of --goal-batch (docs/SOLVERS.md).
   uint64_t RoundTrips = 0;
+  /// CDCL work split by the answer of the physical solve that did it
+  /// (SolverStats::OnSat / OnUnsat; zero for external backends). The
+  /// perf gate holds decisions per SAT solve to the baseline.
+  smt::SolverStats::SatWork OnSat, OnUnsat;
 };
 
 /// Writes `{"records": [...], "metrics": <snapshot>}`: the per-study
@@ -144,7 +148,11 @@ void writeJson(const char *Path, const std::vector<JsonRecord> &Records) {
                  "\"premise_cache_hits\": %zu, \"reused_clauses\": %zu, "
                  "\"peak_learnts\": %zu, \"arena_peak_bytes\": %zu, "
                  "\"clauses_deleted\": %zu, \"reduce_db_runs\": %zu, "
-                 "\"session_restarts\": %zu, \"round_trips\": %zu}%s\n",
+                 "\"session_restarts\": %zu, \"round_trips\": %zu, "
+                 "\"sat_solves\": %zu, \"sat_decisions\": %zu, "
+                 "\"sat_propagations\": %zu, \"sat_conflicts\": %zu, "
+                 "\"unsat_solves\": %zu, \"unsat_decisions\": %zu, "
+                 "\"unsat_propagations\": %zu, \"unsat_conflicts\": %zu}%s\n",
                  R.Study.c_str(), R.Mode.c_str(), size_t(R.Queries),
                  size_t(R.P50), size_t(R.P99), size_t(R.Max),
                  size_t(R.TotalMicros), size_t(R.SessionPremises),
@@ -152,6 +160,11 @@ void writeJson(const char *Path, const std::vector<JsonRecord> &Records) {
                  size_t(R.PeakLearnts), size_t(R.ArenaPeakBytes),
                  size_t(R.ClausesDeleted), size_t(R.ReduceDbRuns),
                  size_t(R.SessionRestarts), size_t(R.RoundTrips),
+                 size_t(R.OnSat.Solves), size_t(R.OnSat.Decisions),
+                 size_t(R.OnSat.Propagations), size_t(R.OnSat.Conflicts),
+                 size_t(R.OnUnsat.Solves), size_t(R.OnUnsat.Decisions),
+                 size_t(R.OnUnsat.Propagations),
+                 size_t(R.OnUnsat.Conflicts),
                  I + 1 < Records.size() ? "," : "");
   }
   std::fprintf(F, "],\n\"metrics\": %s}\n",
@@ -287,7 +300,8 @@ int main(int argc, char **argv) {
           Solver.stats().ReusedClauses, Solver.stats().PeakLearnts,
           Solver.stats().ArenaBytesPeak, Solver.stats().ClausesDeleted,
           Solver.stats().ReduceDbRuns, Solver.stats().SessionRestarts,
-          Solver.stats().RoundTrips});
+          Solver.stats().RoundTrips, Solver.stats().OnSat,
+          Solver.stats().OnUnsat});
       if (M.GoalBatch > 1) {
         // The batching economics line: logical queries vs physical
         // round-trips under --goal-batch (see docs/SOLVERS.md).
@@ -332,6 +346,13 @@ int main(int argc, char **argv) {
                     size_t(Solver.stats().ClausesDeleted),
                     size_t(Solver.stats().ReduceDbRuns),
                     size_t(Solver.stats().SessionRestarts));
+        const smt::SolverStats::SatWork &W = Solver.stats().OnSat;
+        double Solves = double(std::max<uint64_t>(W.Solves, 1));
+        std::printf("%-26s %-12s sat-solves=%zu decisions/sat=%.1f "
+                    "propagations/sat=%.1f conflicts/sat=%.2f\n",
+                    "", "", size_t(W.Solves), double(W.Decisions) / Solves,
+                    double(W.Propagations) / Solves,
+                    double(W.Conflicts) / Solves);
       }
     }
   }

@@ -41,6 +41,7 @@ Var SatSolver::newVar() {
   Watches.emplace_back();
   Watches.emplace_back();
   HeapPos.push_back(-1);
+  Decision.push_back(1);
   heapInsert(V);
   return V;
 }
@@ -134,6 +135,10 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
   // the solver actually reasons with.
   if (Out.size() != InputSize)
     logLemma(Out);
+  // A stored clause may mention a variable whose decision flag a client
+  // cleared; the flag invariant (Sat.h) needs it back on.
+  for (Lit L : Out)
+    setDecisionVar(L.var(), true);
   if (Out.empty()) {
     Unsat = true;
     return false;
@@ -424,7 +429,8 @@ void SatSolver::backtrack(int Level) {
     Var V = Trail[I - 1].var();
     Assigns[V] = LBool::Undef;
     Reasons[V] = NoReason;
-    heapInsert(V);
+    if (Decision[V])
+      heapInsert(V);
   }
   Trail.resize(TrailLim[Level]);
   TrailLim.resize(Level);
@@ -432,13 +438,14 @@ void SatSolver::backtrack(int Level) {
 }
 
 Lit SatSolver::pickBranchLit() {
-  // Pop the activity heap until an unassigned variable surfaces
-  // (assignments leave stale entries; they are skipped lazily).
+  // Pop the activity heap until an unassigned decision variable surfaces
+  // (assignments and cleared flags leave stale entries; they are skipped
+  // lazily, and backtrack() does not re-insert a cleared one).
   for (;;) {
     Var V = heapPop();
     if (V < 0)
       return Lit::undef();
-    if (Assigns[V] == LBool::Undef)
+    if (Assigns[V] == LBool::Undef && Decision[V])
       return Lit::mk(V, !SavedPhase[V]);
   }
 }
@@ -594,7 +601,7 @@ bool SatSolver::solveUnderAssumptions(const std::vector<Lit> &Assumptions) {
     if (Next == Lit::undef()) {
       Next = pickBranchLit();
       if (Next == Lit::undef())
-        return true; // All variables assigned: SAT.
+        return true; // All decision variables assigned: SAT.
       ++S.Decisions;
     }
     TrailLim.push_back(int(Trail.size()));

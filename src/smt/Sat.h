@@ -82,6 +82,20 @@ inline LBool negate(LBool B) {
 /// by which a retired activation literal's guarded clauses (and every
 /// lemma derived from them, which necessarily carries the retirement
 /// literal) are physically removed rather than left as dead weight.
+///
+/// Every variable carries a *decision flag* (MiniSat's setDecisionVar,
+/// Eén & Sörensson, SAT 2003). Search branches only on flagged variables
+/// and answers SAT once all of them are assigned, so a variable whose
+/// flag is off costs nothing after it leaves the branching heap. The
+/// invariant that keeps this sound: a variable whose flag is off occurs
+/// only in clauses satisfied at level 0. Such clauses never propagate or
+/// conflict, so the variable is never assigned above level 0, no lemma
+/// mentions it, and any value extends a model. The solver itself keeps
+/// the invariant on its side — newVar() sets the flag, and addClause()
+/// sets it again for every variable of the clause it stores — so only a
+/// client may clear a flag, and only once it knows the invariant holds:
+/// the retirement pattern above clears the variables a retired scope
+/// allocated, after its activation literal is false at level 0.
 class SatSolver {
 public:
   /// Allocates a fresh variable. May be called between solves.
@@ -123,9 +137,22 @@ public:
   }
 
   /// Value of \p V in the model; valid only after solve() returned true.
+  /// A variable with its decision flag off may be left unassigned: it is
+  /// free in every model, and reads as false.
   bool modelValue(Var V) const {
-    assert(Assigns[V] != LBool::Undef && "model incomplete");
+    assert((Assigns[V] != LBool::Undef || !Decision[V]) &&
+           "model incomplete");
     return Assigns[V] == LBool::True;
+  }
+
+  /// Sets or clears \p V's decision flag (see the class comment). Clearing
+  /// is the caller's promise that every clause mentioning \p V is
+  /// satisfied at level 0; a later addClause() mentioning \p V sets the
+  /// flag again.
+  void setDecisionVar(Var V, bool On) {
+    if (On && !Decision[V])
+      heapInsert(V);
+    Decision[V] = On;
   }
 
   size_t numVars() const { return Assigns.size(); }
@@ -278,6 +305,7 @@ private:
   /// Max-heap over variable activity for branching (MiniSat order heap).
   std::vector<Var> Heap;
   std::vector<int> HeapPos; ///< Position in Heap, or -1 when absent.
+  std::vector<char> Decision; ///< Decision flag per variable.
   std::vector<Lit> FailedAssumptions;
   size_t LearntCount = 0;
   bool Unsat = false;

@@ -93,6 +93,45 @@ private:
   size_t Fed = 0;        ///< Events fed and dropped before Next.
 };
 
+/// The sat.* counters of one answer kind (docs/OBSERVABILITY.md).
+struct SatWorkCounters {
+  obs::Counter &Solves, &Decisions, &Propagations, &Conflicts;
+};
+
+/// One physical solve: runs \p Sat under \p Assumptions and adds the CDCL
+/// work of this call to the SolverStats bucket and sat.* counters of its
+/// answer.
+bool countedSolve(SatSolver &Sat, const std::vector<Lit> &Assumptions,
+                  SolverStats &St) {
+  static SatWorkCounters OnSat{
+      obs::metrics().counter("sat.sat_solves"),
+      obs::metrics().counter("sat.sat_decisions"),
+      obs::metrics().counter("sat.sat_propagations"),
+      obs::metrics().counter("sat.sat_conflicts")};
+  static SatWorkCounters OnUnsat{
+      obs::metrics().counter("sat.unsat_solves"),
+      obs::metrics().counter("sat.unsat_decisions"),
+      obs::metrics().counter("sat.unsat_propagations"),
+      obs::metrics().counter("sat.unsat_conflicts")};
+  SatSolver::Stats Before = Sat.stats();
+  bool IsSat = Sat.solveUnderAssumptions(Assumptions);
+  const SatSolver::Stats &After = Sat.stats();
+  uint64_t Decisions = After.Decisions - Before.Decisions;
+  uint64_t Propagations = After.Propagations - Before.Propagations;
+  uint64_t Conflicts = After.Conflicts - Before.Conflicts;
+  SolverStats::SatWork &W = IsSat ? St.OnSat : St.OnUnsat;
+  ++W.Solves;
+  W.Decisions += Decisions;
+  W.Propagations += Propagations;
+  W.Conflicts += Conflicts;
+  SatWorkCounters &C = IsSat ? OnSat : OnUnsat;
+  C.Solves.add();
+  C.Decisions.add(Decisions);
+  C.Propagations.add(Propagations);
+  C.Conflicts.add(Conflicts);
+  return IsSat;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -210,7 +249,7 @@ public:
     if (HardRetire)
       Blaster->pushGuard(Activation);
     Sat->addClause(~Activation, blastGoal(Goal));
-    bool IsSat = Sat->solveUnderAssumptions({Activation});
+    bool IsSat = countedSolve(*Sat, {Activation}, Owner.Stats);
     ++Owner.Stats.RoundTrips;
     // The goal-end marker must precede the retirement unit below: a
     // checker validates the UNSAT core against the database as of the
@@ -235,22 +274,11 @@ public:
     // Retire the activation literal. With hard retirement, ¬act is a
     // level-0 fact that permanently satisfies every clause the goal
     // contributed — its encoding plus any lemma whose derivation touched
-    // it — so all of them are deletable. The purge itself is *batched*:
-    // simplify() costs a full database scan plus a watcher rebuild, so
-    // running it per query would dominate premise-heavy sessions.
-    // Retired clauses are only ever skipped-over dead weight (their ¬act
-    // watch never fires), so deferring deletion trades bounded slack for
-    // amortized O(1) retirement.
+    // it — so all of them are deletable, and retireScope() takes the
+    // goal's variables out of the search.
     Sat->addClause(~Activation);
     if (HardRetire) {
-      PendingDead += Sat->numClauses() - std::min(Sat->numClauses(),
-                                                  ClausesAtStart);
-      size_t LiveEstimate = Sat->numClauses() - std::min(PendingDead,
-                                                         Sat->numClauses());
-      if (PendingDead >= std::max(Owner.SessionPurgeBatch, LiveEstimate / 4)) {
-        Sat->simplify();
-        PendingDead = 0;
-      }
+      retireScope(Activation.var(), ClausesAtStart);
       Blaster->popGuardAndEvict();
     }
 
@@ -342,7 +370,7 @@ public:
         if (!Resolved[I])
           Disj.push_back(Acts[I]);
       Sat->addClause(std::move(Disj));
-      bool RoundSat = Sat->solveUnderAssumptions({B});
+      bool RoundSat = countedSolve(*Sat, {B}, St);
       ++St.RoundTrips;
       if (!RoundSat) {
         for (size_t I = 0; I < Goals.size(); ++I)
@@ -370,21 +398,14 @@ public:
       }
     }
     // Retire everything the batch allocated: unsat-attributed goals'
-    // activations and every round selector become level-0 facts whose
-    // guarded clauses the next batched simplify() physically deletes.
+    // activations and every round selector become level-0 facts, after
+    // which the batch scope retires exactly like one goal's.
     for (size_t I = 0; I < Goals.size(); ++I)
       if (!Resolved[I] || Out[I] == SatResult::Unsat)
         Sat->addClause(~Acts[I]);
     for (Lit B : Selectors)
       Sat->addClause(~B);
-    PendingDead +=
-        Sat->numClauses() - std::min(Sat->numClauses(), ClausesAtStart);
-    size_t LiveEstimate =
-        Sat->numClauses() - std::min(PendingDead, Sat->numClauses());
-    if (PendingDead >= std::max(Owner.SessionPurgeBatch, LiveEstimate / 4)) {
-      Sat->simplify();
-      PendingDead = 0;
-    }
+    retireScope(Acts[0].var(), ClausesAtStart);
 
     uint64_t Micros = Watch.elapsedMicros();
     static obs::Histogram &SolveLatency =
@@ -406,6 +427,39 @@ public:
   }
 
 private:
+  /// Retires a goal scope — one goal, or one batch — whose activation
+  /// literals (and selectors) are already false at level 0. Every variable
+  /// from \p First up was allocated by the scope, and every clause that
+  /// mentions one — lemmas included — carries a retired activation or
+  /// selector literal, so all of them are satisfied at level 0 and the
+  /// variables leave the search (the decision-flag invariant, Sat.h).
+  /// addClause() brings back any that a later premise or goal mentions,
+  /// such as variable bits first blasted here. \p ClausesAtStart is
+  /// numClauses() when the scope opened.
+  ///
+  /// The physical purge is *batched*: simplify() costs a full database
+  /// scan plus a watcher rebuild, so running it per scope would dominate
+  /// premise-heavy sessions. Retired clauses are only ever skipped-over
+  /// dead weight (their ¬act watch never fires), so deferring deletion
+  /// trades bounded slack for amortized O(1) retirement.
+  void retireScope(Var First, size_t ClausesAtStart) {
+    for (Var V = First; V < Var(Sat->numVars()); ++V)
+      Sat->setDecisionVar(V, false);
+    PendingDead +=
+        Sat->numClauses() - std::min(Sat->numClauses(), ClausesAtStart);
+    size_t LiveEstimate =
+        Sat->numClauses() - std::min(PendingDead, Sat->numClauses());
+    if (PendingDead < std::max(Owner.SessionPurgeBatch, LiveEstimate / 4))
+      return;
+    obs::ScopedSpan Span("session.simplify", "simplify");
+    obs::StopWatch Watch;
+    Sat->simplify();
+    PendingDead = 0;
+    static obs::Histogram &SimplifyMicros =
+        obs::metrics().histogram("session.simplify_micros");
+    SimplifyMicros.observe(Watch.elapsedMicros());
+  }
+
   /// Closes the current goal in the proof stream: on UNSAT the core is
   /// the negation of the failed assumptions — with the session's single
   /// activation assumption that is {¬act}, or empty when the database
@@ -560,7 +614,7 @@ SatResult BitBlastSolver::checkSat(const BvFormulaRef &F, Model *M) {
     Sat.setProofSink(&Raw);
   BitBlaster Blaster(Sat);
   Blaster.assertFormula(F);
-  bool IsSat = Sat.solve();
+  bool IsSat = countedSolve(Sat, {}, Stats);
   ++Stats.RoundTrips;
 
   if (!IsSat && (CertifyUnsat || CaptureLog)) {

@@ -89,6 +89,18 @@ struct SolverStats {
                                 ///< when a session restart dropped its
                                 ///< solver; the premises themselves are
                                 ///< re-blasted from the cached formulas.
+  /// CDCL work inside the solve calls that answered one way (BitBlastSolver
+  /// only): deltas of SatSolver::Stats around each physical solve, split by
+  /// its answer. Deterministic for a given query sequence, so the perf gate
+  /// can hold decisions per SAT answer tight (check_perf_baseline.py).
+  struct SatWork {
+    uint64_t Solves = 0;
+    uint64_t Decisions = 0;
+    uint64_t Propagations = 0;
+    uint64_t Conflicts = 0;
+  };
+  SatWork OnSat;   ///< Solves that answered SAT.
+  SatWork OnUnsat; ///< Solves that answered UNSAT.
 };
 
 /// Memory bounds for an incremental session (0 = unlimited). Checked

@@ -266,6 +266,18 @@ uint64_t histogramCount(const std::string &Name) {
   return It == Snap.Histograms.end() ? 0 : It->second.Count;
 }
 
+uint64_t simplifies() { return histogramCount("session.simplify_micros"); }
+
+/// The session purge: one span per observed session.simplify_micros, each
+/// directly inside the solver call whose retirement triggered it.
+void expectSimplifySpans(const serve::Json &Doc, uint64_t Simplifies) {
+  EXPECT_GT(Simplifies, 0u);
+  EXPECT_EQ(spanCount(Doc, "session.simplify"), Simplifies);
+  EXPECT_EQ(spansNestedIn(Doc, "session.simplify", "solver.query") +
+                spansNestedIn(Doc, "session.simplify", "solver.batch"),
+            Simplifies);
+}
+
 TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   obs::TraceSink Sink;
   // Every WP call is timed (check.wp_micros, traced or not) and, when
@@ -273,7 +285,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   // per Extend.
   uint64_t WpObservedBefore = histogramCount("check.wp_micros");
   size_t ExtendsAll = 0, ExtendsTraced = 0;
-  uint64_t LoweringsTraced = 0;
+  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     CheckOptions Options;
     // The CertificateTest sweep budgets: Applicability rows only need to
@@ -283,7 +295,9 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     Options.RecordTrace = true;
     CheckRequest Req = registryRequest(Study, Options);
 
+    uint64_t BaselineFrom = simplifies();
     CertifiedRun Baseline = runCertified(Req);
+    uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
     ExtendsAll += extendSteps(Baseline.Res);
 
     // Traced runs share one sink across studies so the final trace also
@@ -291,8 +305,12 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
+      uint64_t SimplifiesFrom = simplifies();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
+      EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
+          << Study.Name;
+      SimplifiesTraced += simplifies() - SimplifiesFrom;
       expectDecisionIdentical(Study.Name, Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -315,6 +333,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   serve::Json Doc = parseBalancedTrace(Ss.str());
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
+  expectSimplifySpans(Doc, SimplifiesTraced);
   std::remove(Path.c_str());
 }
 
@@ -325,7 +344,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
 TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
   size_t ExtendsTraced = 0;
-  uint64_t LoweringsTraced = 0;
+  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
     // not corpus breadth (the study sweep above owns that). The budget
@@ -339,12 +358,18 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
     Options.GoalBatch = 8;
     CheckRequest Req = registryRequest(Study, Options);
 
+    uint64_t BaselineFrom = simplifies();
     CertifiedRun Baseline = runCertified(Req);
+    uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
     {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
+      uint64_t SimplifiesFrom = simplifies();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
+      EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
+          << Study.Name;
+      SimplifiesTraced += simplifies() - SimplifiesFrom;
       expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -364,6 +389,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   EXPECT_GT(spanCount(Doc, "check.run"), 0u);
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
+  expectSimplifySpans(Doc, SimplifiesTraced);
   std::remove(Path.c_str());
 }
 

@@ -897,4 +897,203 @@ TEST_P(SatReduceFuzz, ReductionAndPurgeChangeNoAnswer) {
 INSTANTIATE_TEST_SUITE_P(Random, SatReduceFuzz,
                          ::testing::Range(0, fuzzIters(200)));
 
+//===----------------------------------------------------------------------===//
+// Decision flags: a retired scope's variables leave the search.
+//===----------------------------------------------------------------------===//
+
+TEST(SatDecision, UndecidedVariableReadsFalse) {
+  SatSolver S;
+  Var X = S.newVar(), Y = S.newVar(), Z = S.newVar();
+  ASSERT_TRUE(S.addClause(pos(X), pos(Y)));
+  // Z occurs in no clause; with its flag off it is never decided.
+  S.setDecisionVar(Z, false);
+  ASSERT_TRUE(S.solve());
+  EXPECT_TRUE(S.modelValue(X) || S.modelValue(Y));
+  EXPECT_FALSE(S.modelValue(Z)); // Free, unassigned, and no assert.
+}
+
+TEST(SatDecision, RetiredGroupVariablesAreNotDecided) {
+  SatSolver S;
+  (void)S.newVar(); // One live variable, in no clause.
+  Var Act = S.newVar();
+  std::vector<Var> Local;
+  for (int I = 0; I < 20; ++I) {
+    Local.push_back(S.newVar());
+    ASSERT_TRUE(S.addClause(neg(Act), pos(Local.back())));
+  }
+  ASSERT_TRUE(S.solveUnderAssumptions({pos(Act)}));
+  for (Var V : Local)
+    EXPECT_TRUE(S.modelValue(V));
+  // Retire: ¬act at level 0 satisfies every group clause, so the group's
+  // variables may leave the search.
+  ASSERT_TRUE(S.addClause(neg(Act)));
+  for (Var V = Act; V < Var(S.numVars()); ++V)
+    S.setDecisionVar(V, false);
+  uint64_t Before = S.stats().Decisions;
+  ASSERT_TRUE(S.solve());
+  // Only the one live variable is decided.
+  EXPECT_EQ(S.stats().Decisions - Before, 1u);
+  for (Var V : Local)
+    EXPECT_FALSE(S.modelValue(V));
+  EXPECT_FALSE(S.modelValue(Act));
+}
+
+TEST(SatDecision, NewClauseReenablesItsVariables) {
+  SatSolver S;
+  Var G1 = S.newVar(), G2 = S.newVar();
+  S.setDecisionVar(G1, false);
+  S.setDecisionVar(G2, false);
+  // Both variables were switched off; the clause brings them back, or the
+  // solver would answer SAT with the clause unassigned.
+  ASSERT_TRUE(S.addClause(pos(G1), pos(G2)));
+  ASSERT_TRUE(S.solve());
+  EXPECT_TRUE(S.modelValue(G1) || S.modelValue(G2));
+}
+
+/// Differential fence for decision flags. One long-lived solver runs a
+/// random incremental workload — unguarded clauses, activation-guarded
+/// groups with variables of their own, retirements that clear the flags
+/// of everything the group allocated, and interleaved simplify() — while
+/// later clauses keep mentioning variables first used inside a retired
+/// group. After every solve the answer must equal a fresh SatSolver built
+/// from the live clauses alone (unguarded ones plus the unretired
+/// groups'), and every model must satisfy every clause ever added: the
+/// live ones by construction, the retired ones through their retirement
+/// units.
+class SatDecisionFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatDecisionFuzz, ClearedFlagsChangeNoAnswer) {
+  leapfrog::testing::reportFuzzConfig("SatDecisionFuzz", fuzzIters(300),
+                                      uint64_t(GetParam()) + 777);
+  Rng R{uint64_t(GetParam()) + 777};
+  SatSolver S;
+  if (R.below(2) == 0)
+    S.setReducePolicy(aggressivePolicy());
+  int NumShared = 4 + int(R.below(6));
+  for (int V = 0; V < NumShared; ++V)
+    (void)S.newVar();
+
+  struct Group {
+    Lit Act;
+    Var End; ///< One past the group's last variable.
+    std::vector<std::vector<Lit>> Clauses;
+  };
+  std::vector<std::vector<Lit>> Unguarded; ///< Live forever.
+  std::vector<Group> LiveGroups;
+  std::vector<std::vector<Lit>> AllClauses; ///< Retired ones too.
+  std::vector<Var> RetiredLocals; ///< Variables first used in a retired
+                                  ///< group; later clauses reuse them.
+  bool AddOk = true;
+  auto Add = [&](std::vector<Lit> C) {
+    AllClauses.push_back(C);
+    AddOk &= S.addClause(std::move(C));
+  };
+  auto SharedLit = [&]() {
+    return Lit::mk(Var(R.below(size_t(NumShared))), R.below(2));
+  };
+  // Up to two literals over variables of retired groups. A clause made of
+  // two of them alone is never unit, so only its decision flags get its
+  // variables assigned.
+  auto AppendRetired = [&](std::vector<Lit> &C) {
+    if (RetiredLocals.empty())
+      return;
+    for (size_t K = R.below(3); K > 0; --K)
+      C.push_back(Lit::mk(RetiredLocals[R.below(RetiredLocals.size())],
+                          R.below(2)));
+  };
+  // An unguarded clause over shared variables, often reaching back to
+  // retired groups' variables.
+  auto AddUnguarded = [&]() {
+    std::vector<Lit> C;
+    AppendRetired(C);
+    for (size_t K = (C.empty() ? 1 : 0) + R.below(3); K > 0; --K)
+      C.push_back(SharedLit());
+    Unguarded.push_back(C);
+    Add(std::move(C));
+  };
+
+  for (size_t I = size_t(NumShared); I > 0; --I)
+    AddUnguarded();
+  for (int Round = 0; Round < 14; ++Round) {
+    // Open a group: an activation variable plus local variables of its
+    // own, allocated after it (the session's scope layout).
+    if (R.below(3) != 0) {
+      Group G;
+      G.Act = Lit::mk(S.newVar(), false);
+      std::vector<Var> Local;
+      for (size_t K = 1 + R.below(4); K > 0; --K)
+        Local.push_back(S.newVar());
+      G.End = Var(S.numVars());
+      for (size_t I = 1 + R.below(5); I > 0; --I) {
+        std::vector<Lit> C{~G.Act};
+        for (size_t K = 1 + R.below(3); K > 0; --K)
+          C.push_back(R.below(2) == 0
+                          ? SharedLit()
+                          : Lit::mk(Local[R.below(Local.size())],
+                                    R.below(2)));
+        AppendRetired(C);
+        G.Clauses.push_back(C);
+        Add(std::move(C));
+      }
+      LiveGroups.push_back(std::move(G));
+    }
+
+    std::vector<Lit> Assumptions;
+    for (const Group &G : LiveGroups)
+      if (R.below(4) != 0)
+        Assumptions.push_back(G.Act);
+    for (size_t K = R.below(3); K > 0; --K)
+      Assumptions.push_back(SharedLit());
+
+    SatSolver Fresh;
+    for (size_t V = 0; V < S.numVars(); ++V)
+      (void)Fresh.newVar();
+    bool FreshOk = true;
+    for (const auto &C : Unguarded)
+      FreshOk &= Fresh.addClause(C);
+    for (const Group &G : LiveGroups)
+      for (const auto &C : G.Clauses)
+        FreshOk &= Fresh.addClause(C);
+    bool Reference = FreshOk && Fresh.solveUnderAssumptions(Assumptions);
+    bool Got = AddOk && S.solveUnderAssumptions(Assumptions);
+    ASSERT_EQ(Got, Reference)
+        << "decision flags changed an answer, seed " << GetParam()
+        << " round " << Round;
+    if (Got) {
+      for (const auto &C : AllClauses) {
+        bool Satisfied = false;
+        for (Lit L : C)
+          Satisfied |= S.modelValue(L.var()) != L.negated();
+        EXPECT_TRUE(Satisfied) << "model violates a clause, seed "
+                               << GetParam() << " round " << Round;
+      }
+      for (Lit A : Assumptions)
+        EXPECT_TRUE(S.modelValue(A.var()) != A.negated())
+            << "model violates an assumption, seed " << GetParam();
+    }
+
+    // Retire a group: ¬act at level 0, then every variable the group
+    // allocated leaves the search.
+    if (!LiveGroups.empty() && R.below(2) == 0) {
+      size_t Pick = R.below(LiveGroups.size());
+      Var First = LiveGroups[Pick].Act.var();
+      Var End = LiveGroups[Pick].End;
+      Add({~LiveGroups[Pick].Act});
+      LiveGroups.erase(LiveGroups.begin() + long(Pick));
+      for (Var V = First; V < End; ++V) {
+        S.setDecisionVar(V, false);
+        if (V != First)
+          RetiredLocals.push_back(V);
+      }
+    }
+    if (R.below(3) == 0)
+      S.simplify();
+    for (size_t I = R.below(3); I > 0; --I)
+      AddUnguarded();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, SatDecisionFuzz,
+                         ::testing::Range(0, fuzzIters(300)));
+
 } // namespace

@@ -173,27 +173,31 @@ struct Rng {
   size_t below(size_t N) { return size_t(next() % N); }
 };
 
-/// Random term over variables x (3 bits) and y (2 bits).
-BvTermRef randomTerm(Rng &R, int Depth) {
+/// Variables a random term may mention: name and width.
+using VarPool = std::vector<std::pair<std::string, size_t>>;
+
+const VarPool &defaultPool() {
+  static const VarPool Pool = {{"x", 3}, {"y", 2}};
+  return Pool;
+}
+
+/// Random term over the variables of \p Pool (by default x, 3 bits, and
+/// y, 2 bits).
+BvTermRef randomTerm(Rng &R, int Depth, const VarPool &Pool = defaultPool()) {
   if (Depth == 0 || R.below(3) == 0) {
-    switch (R.below(3)) {
-    case 0:
-      return var("x", 3);
-    case 1:
-      return var("y", 2);
-    default: {
-      Bitvector BV;
-      size_t Len = 1 + R.below(3);
-      for (size_t I = 0; I < Len; ++I)
-        BV.pushBack(R.below(2));
-      return BvTerm::mkConst(BV);
-    }
-    }
+    size_t Pick = R.below(Pool.size() + 1);
+    if (Pick < Pool.size())
+      return var(Pool[Pick].first, Pool[Pick].second);
+    Bitvector BV;
+    size_t Len = 1 + R.below(3);
+    for (size_t I = 0; I < Len; ++I)
+      BV.pushBack(R.below(2));
+    return BvTerm::mkConst(BV);
   }
   if (R.below(2) == 0)
-    return BvTerm::mkConcat(randomTerm(R, Depth - 1),
-                            randomTerm(R, Depth - 1));
-  BvTermRef Op = randomTerm(R, Depth - 1);
+    return BvTerm::mkConcat(randomTerm(R, Depth - 1, Pool),
+                            randomTerm(R, Depth - 1, Pool));
+  BvTermRef Op = randomTerm(R, Depth - 1, Pool);
   if (Op->width() == 0)
     return Op;
   size_t Lo = R.below(Op->width());
@@ -201,9 +205,10 @@ BvTermRef randomTerm(Rng &R, int Depth) {
   return BvTerm::mkExtract(Op, Lo, Hi);
 }
 
-BvFormulaRef randomFormula(Rng &R, int Depth) {
+BvFormulaRef randomFormula(Rng &R, int Depth,
+                           const VarPool &Pool = defaultPool()) {
   if (Depth == 0 || R.below(4) == 0) {
-    BvTermRef A = randomTerm(R, 2);
+    BvTermRef A = randomTerm(R, 2, Pool);
     // Force matching widths by slicing both to the min width, or comparing
     // to a constant of the right width.
     Bitvector BV;
@@ -213,16 +218,16 @@ BvFormulaRef randomFormula(Rng &R, int Depth) {
   }
   switch (R.below(4)) {
   case 0:
-    return BvFormula::mkNot(randomFormula(R, Depth - 1));
+    return BvFormula::mkNot(randomFormula(R, Depth - 1, Pool));
   case 1:
-    return BvFormula::mkAnd(randomFormula(R, Depth - 1),
-                            randomFormula(R, Depth - 1));
+    return BvFormula::mkAnd(randomFormula(R, Depth - 1, Pool),
+                            randomFormula(R, Depth - 1, Pool));
   case 2:
-    return BvFormula::mkOr(randomFormula(R, Depth - 1),
-                           randomFormula(R, Depth - 1));
+    return BvFormula::mkOr(randomFormula(R, Depth - 1, Pool),
+                           randomFormula(R, Depth - 1, Pool));
   default:
-    return BvFormula::mkImplies(randomFormula(R, Depth - 1),
-                                randomFormula(R, Depth - 1));
+    return BvFormula::mkImplies(randomFormula(R, Depth - 1, Pool),
+                                randomFormula(R, Depth - 1, Pool));
   }
 }
 
@@ -906,6 +911,89 @@ TEST_P(SessionLimitsFuzz, AgreesWithMonolithicUnderTinyLimits) {
 
 INSTANTIATE_TEST_SUITE_P(Random, SessionLimitsFuzz,
                          ::testing::Range(0, fuzzIters(100)));
+
+/// Retired-scope fuzz: random premise and goal sequences, posed through
+/// per-goal queries and batches alike, over a variable pool that grows as
+/// the session runs. A fresh variable first appears in a goal — its bits
+/// are allocated inside that goal's scope and leave the search when the
+/// scope retires — and later premises and goals mention it again, which
+/// must bring its bits back. Every answer must equal one-shot checkSat on
+/// premises ∧ goal, and every per-goal model must satisfy premises ∧ goal.
+class SessionRetireFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionRetireFuzz, AgreesWithOneShotAcrossRetiredScopes) {
+  leapfrog::testing::reportFuzzConfig("SessionRetireFuzz", fuzzIters(150),
+                                      uint64_t(GetParam()) + 4242);
+  Rng R{uint64_t(GetParam()) + 4242};
+  BitBlastSolver Incremental, OneShot;
+  // Purge at every opportunity on half the seeds, so retired scopes are
+  // deleted as well as switched off.
+  if (R.below(2) == 0)
+    Incremental.SessionPurgeBatch = 1;
+  auto Sess = Incremental.openSession();
+  VarPool Pool = defaultPool();
+  std::vector<BvFormulaRef> Premises;
+  auto Conjoin = [&](const BvFormulaRef &Goal) {
+    BvFormulaRef Conj = Goal;
+    for (size_t I = Premises.size(); I > 0; --I)
+      Conj = BvFormula::mkAnd(Premises[I - 1], Conj);
+    return Conj;
+  };
+  // A goal that introduces a fresh variable: it mentions the variable
+  // directly, so the first blast of its bits happens in the goal scope.
+  auto FreshGoal = [&]() {
+    std::string Name = "v" + std::to_string(Pool.size());
+    size_t Width = 1 + R.below(3);
+    Bitvector BV;
+    for (size_t I = 0; I < Width; ++I)
+      BV.pushBack(R.below(2));
+    BvFormulaRef Eq = BvFormula::mkEq(var(Name, Width), BvTerm::mkConst(BV));
+    Pool.emplace_back(Name, Width);
+    return BvFormula::mkAnd(Eq, randomFormula(R, 1, Pool));
+  };
+  for (int Round = 0; Round < 10; ++Round) {
+    if (R.below(2) == 0) {
+      BvFormulaRef P = randomFormula(R, 2, Pool);
+      Premises.push_back(P);
+      Sess->assertPremise(P);
+    }
+    std::vector<BvFormulaRef> Goals;
+    for (size_t K = R.below(2) == 0 ? 1 : 2 + R.below(4); K > 0; --K)
+      Goals.push_back(R.below(3) == 0 ? FreshGoal()
+                                      : randomFormula(R, 2, Pool));
+    if (Goals.size() == 1) {
+      Model M;
+      SatResult Got = Sess->checkSatUnderPremises(Goals[0], &M);
+      BvFormulaRef Conj = Conjoin(Goals[0]);
+      ASSERT_EQ(Got, OneShot.checkSat(Conj, nullptr))
+          << "session diverges from one-shot, seed " << GetParam()
+          << " round " << Round << " goal " << Goals[0]->str();
+      if (Got == SatResult::Sat) {
+        for (const auto &[Name, Width] : Pool) {
+          bool Has = false;
+          for (const auto &Entry : M)
+            Has |= Entry.first == Name;
+          if (!Has)
+            M.emplace_back(Name, Bitvector(Width));
+        }
+        EXPECT_TRUE(evalFormula(Conj, M))
+            << "session model violates premises∧goal, seed " << GetParam()
+            << " round " << Round;
+      }
+    } else {
+      std::vector<SatResult> Out;
+      Sess->checkSatBatch(Goals, Out);
+      ASSERT_EQ(Out.size(), Goals.size());
+      for (size_t I = 0; I < Goals.size(); ++I)
+        ASSERT_EQ(Out[I], OneShot.checkSat(Conjoin(Goals[I]), nullptr))
+            << "batch diverges from one-shot, seed " << GetParam()
+            << " round " << Round << " goal " << Goals[I]->str();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, SessionRetireFuzz,
+                         ::testing::Range(0, fuzzIters(150)));
 
 //===----------------------------------------------------------------------===//
 // SMT-LIB printing

@@ -10,7 +10,7 @@ per-(study, mode) measurements and `metrics` is the obs::Metrics
 process snapshot (docs/OBSERVABILITY.md); the older bare-array form is
 still accepted so historical baselines keep working.
 
-Three gates run, all deliberately narrow:
+Four gates run, all deliberately narrow:
 
  1. Clause DB: for every incremental record present in both files, the
     smoke workload's peak learned-clause count (`peak_learnts`) must not
@@ -32,6 +32,13 @@ Three gates run, all deliberately narrow:
     and answers are schedule-independent), so a creep back toward the
     query count means the --goal-batch machinery silently stopped
     sharing rounds — exactly the regression this gate exists to catch.
+ 4. Decisions per SAT answer: for every record present in both files
+    whose baseline has SAT solves, `sat_decisions / sat_solves` must not
+    exceed `--tolerance` times the baseline, with an absolute slack of
+    +4 decisions. CDCL decisions are deterministic for a given query
+    sequence, so this catches the solver deciding variables that no live
+    clause mentions again (a retired goal's, say) without gating on
+    runner speed.
 
 Everything else in the JSON is archived for bisection, not gated, but on
 failure the full per-metric diff of the offending record is printed so
@@ -60,6 +67,12 @@ DIFF_METRICS = [
     "premise_cache_hits",
     "queries",
     "round_trips",
+    "sat_solves",
+    "sat_decisions",
+    "sat_propagations",
+    "sat_conflicts",
+    "unsat_solves",
+    "unsat_decisions",
 ]
 
 # The histogram the latency gate reads from the metrics snapshot.
@@ -89,6 +102,15 @@ def solve_p95(metrics):
     return hist["p95"]
 
 
+def decisions_per_sat(record):
+    """Decisions per SAT solve of one record, or None without SAT solves
+    (or from a baseline that predates the counters)."""
+    solves = record.get("sat_solves", 0)
+    if not solves:
+        return None
+    return record["sat_decisions"] / solves
+
+
 def print_metric_diff(cur, base):
     """Readable per-metric comparison of one (study, mode) record."""
     print(f"    {'metric':<20} {'baseline':>12} {'current':>12} {'delta':>10}")
@@ -113,9 +135,10 @@ def main():
         "--tolerance",
         type=float,
         default=2.0,
-        help="allowed peak_learnts growth factor over the baseline "
-        "(default: 2.0); an absolute slack of +8 clauses always applies "
-        "so near-zero baselines don't gate on noise",
+        help="allowed growth factor over the baseline of peak_learnts, "
+        "batched round_trips and decisions per SAT answer (default: "
+        "2.0); small absolute slacks always apply so near-zero "
+        "baselines don't gate on noise",
     )
     parser.add_argument(
         "--latency-tolerance",
@@ -171,6 +194,22 @@ def main():
         )
         if cur_val > limit:
             failures.append(f"{k[0]} {metric}")
+            print_metric_diff(cur, base)
+    for k, cur in sorted(current.items()):
+        base = baseline.get(k)
+        base_val = decisions_per_sat(base) if base else None
+        cur_val = decisions_per_sat(cur)
+        if base_val is None or cur_val is None:
+            continue
+        limit = max(base_val * args.tolerance, base_val + 4)
+        status = "ok" if cur_val <= limit else "REGRESSION"
+        label = f"{k[0]}/{k[1]}"
+        print(
+            f"{label:<40} decisions/sat {base_val:>6.1f} -> "
+            f"{cur_val:>6.1f} (limit {limit:.1f})  [{status}]"
+        )
+        if cur_val > limit:
+            failures.append(f"{label} decisions per SAT answer")
             print_metric_diff(cur, base)
     for k in sorted(baseline.keys() - current.keys()):
         if baseline[k]["mode"] in RECORD_GATES:
