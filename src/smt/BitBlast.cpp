@@ -12,10 +12,10 @@ using namespace leapfrog::smt;
 
 Lit BitBlaster::freshLit() { return Lit::mk(Solver.newVar(), false); }
 
-void BitBlaster::emit(std::vector<Lit> C) {
+void BitBlaster::emitClause() {
   if (GuardActive)
-    C.push_back(~GuardLit);
-  Solver.addClause(std::move(C));
+    Clause.push_back(~GuardLit);
+  Solver.addClause(Clause.data(), Clause.size());
 }
 
 void BitBlaster::pushGuard(Lit Guard) {
@@ -55,9 +55,10 @@ const std::vector<Var> &BitBlaster::varBits(const BvTerm &V) {
   // depends on the order in which variables are first met.
   auto [It, Inserted] = VarBits.try_emplace(V.varName());
   if (Inserted) {
-    It->second.reserve(V.width());
+    It->second.resize(V.width());
+    Var First = Solver.newVars(V.width());
     for (size_t I = 0; I < V.width(); ++I)
-      It->second.push_back(Solver.newVar());
+      It->second[I] = First + Var(I);
   }
   assert(It->second.size() == V.width() && "variable used at two widths");
   return It->second;
@@ -115,7 +116,7 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
     blastEqSides(*F);
     const std::vector<BBit> &L = LhsBits, &R = RhsBits;
     // G <-> AND_i (L_i <-> R_i). Constant bits fold.
-    std::vector<Lit> PerBit;
+    PerBit.clear();
     bool KnownFalse = false;
     for (size_t I = 0; I < L.size() && !KnownFalse; ++I) {
       const BBit &A = L[I], &B = R[I];
@@ -135,10 +136,10 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
       }
       // Both symbolic: E <-> (A <-> B).
       Lit E = freshLit();
-      emit(~E, ~A.L, B.L);
-      emit(~E, A.L, ~B.L);
-      emit(E, A.L, B.L);
-      emit(E, ~A.L, ~B.L);
+      emit({~E, ~A.L, B.L});
+      emit({~E, A.L, ~B.L});
+      emit({E, A.L, B.L});
+      emit({E, ~A.L, ~B.L});
       PerBit.push_back(E);
     }
     if (KnownFalse) {
@@ -154,12 +155,12 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
       break;
     }
     Lit G = freshLit();
-    std::vector<Lit> LongClause{G};
-    for (Lit E : PerBit) {
-      emit(~G, E);
-      LongClause.push_back(~E);
-    }
-    emit(std::move(LongClause));
+    for (Lit E : PerBit)
+      emit({~G, E});
+    Clause.assign(1, G);
+    for (Lit E : PerBit)
+      Clause.push_back(~E);
+    emitClause();
     Result = G;
     break;
   }
@@ -170,9 +171,9 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
     Lit A = blastFormula(F->lhs());
     Lit B = blastFormula(F->rhs());
     Lit G = freshLit();
-    emit(~G, A);
-    emit(~G, B);
-    emit(G, ~A, ~B);
+    emit({~G, A});
+    emit({~G, B});
+    emit({G, ~A, ~B});
     Result = G;
     break;
   }
@@ -180,9 +181,9 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
     Lit A = blastFormula(F->lhs());
     Lit B = blastFormula(F->rhs());
     Lit G = freshLit();
-    emit(G, ~A);
-    emit(G, ~B);
-    emit(~G, A, B);
+    emit({G, ~A});
+    emit({G, ~B});
+    emit({~G, A, B});
     Result = G;
     break;
   }
@@ -190,9 +191,9 @@ Lit BitBlaster::blastFormula(const BvFormulaRef &F) {
     Lit A = blastFormula(F->lhs());
     Lit B = blastFormula(F->rhs());
     Lit G = freshLit();
-    emit(G, A);
-    emit(G, ~B);
-    emit(~G, ~A, B);
+    emit({G, A});
+    emit({G, ~B});
+    emit({~G, ~A, B});
     Result = G;
     break;
   }
@@ -214,7 +215,7 @@ void BitBlaster::assertFormula(const BvFormulaRef &F) {
   case BvFormula::Kind::True:
     return;
   case BvFormula::Kind::False:
-    emit(std::vector<Lit>{}); // Empty clause (or the guard's negation).
+    emit({}); // Empty clause (or the guard's negation).
     return;
   case BvFormula::Kind::And:
     assertFormula(F->lhs());
@@ -228,24 +229,24 @@ void BitBlaster::assertFormula(const BvFormulaRef &F) {
       const BBit &A = L[I], &B = R[I];
       if (A.IsConst && B.IsConst) {
         if (A.ConstVal != B.ConstVal)
-          emit(std::vector<Lit>{});
+          emit({});
         continue;
       }
       if (A.IsConst || B.IsConst) {
         const BBit &C = A.IsConst ? A : B;
         const BBit &V = A.IsConst ? B : A;
-        emit(C.ConstVal ? V.L : ~V.L);
+        emit({C.ConstVal ? V.L : ~V.L});
         continue;
       }
-      emit(~A.L, B.L);
-      emit(A.L, ~B.L);
+      emit({~A.L, B.L});
+      emit({A.L, ~B.L});
     }
     return;
   }
   case BvFormula::Kind::Not:
   case BvFormula::Kind::Or:
   case BvFormula::Kind::Implies:
-    emit(blastFormula(F));
+    emit({blastFormula(F)});
     return;
   }
 }

@@ -21,6 +21,7 @@
 #include "smt/BvFormula.h"
 #include "smt/Sat.h"
 
+#include <initializer_list>
 #include <unordered_map>
 
 namespace leapfrog {
@@ -90,10 +91,12 @@ private:
   /// All clause emission funnels through here so an active guard can be
   /// appended uniformly. trueLit() bypasses it: TrueL is a blaster-wide
   /// cache, so its defining unit must hold unconditionally.
-  void emit(std::vector<Lit> C);
-  void emit(Lit A) { emit(std::vector<Lit>{A}); }
-  void emit(Lit A, Lit B) { emit(std::vector<Lit>{A, B}); }
-  void emit(Lit A, Lit B, Lit C) { emit(std::vector<Lit>{A, B, C}); }
+  void emit(std::initializer_list<Lit> C) {
+    Clause.assign(C);
+    emitClause();
+  }
+  /// Emits the clause built in Clause (plus the guard, if any).
+  void emitClause();
 
   /// Literal asserted true at level 0 (created lazily) so constants can be
   /// uniformly represented as literals when Tseitin needs them.
@@ -105,6 +108,10 @@ private:
   /// Scratch for the sides of the equality being encoded (a leaf of the
   /// formula recursion, so one pair suffices).
   std::vector<BBit> LhsBits, RhsBits;
+  /// Scratch for an equality's per-bit literals (same leaf discipline).
+  std::vector<Lit> PerBit;
+  /// The clause being emitted; reused so intake allocates nothing.
+  std::vector<Lit> Clause;
   /// Every formula ever given to assertFormula/litFor. FormulaCache keys
   /// on raw node addresses, so the blaster must keep its roots (and thereby
   /// all their subformulas) alive: a freed-and-reallocated node would

@@ -11,13 +11,16 @@
 #include "smt/ProofLog.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace leapfrog;
 using namespace leapfrog::smt;
 
-void SatSolver::logInput(const std::vector<Lit> &C) {
-  if (Sink)
-    Sink->onInput(C);
+void SatSolver::logInput(const Lit *Lits, size_t N) {
+  if (!Sink)
+    return;
+  ProofScratch.assign(Lits, Lits + N);
+  Sink->onInput(ProofScratch);
 }
 
 void SatSolver::logLemma(const std::vector<Lit> &C) {
@@ -25,25 +28,38 @@ void SatSolver::logLemma(const std::vector<Lit> &C) {
     Sink->onLemma(C);
 }
 
-void SatSolver::logDelete(const std::vector<Lit> &C) {
-  if (Sink)
-    Sink->onDelete(C);
+void SatSolver::logDelete(ClauseRef CR) {
+  if (!Sink)
+    return;
+  ProofScratch.assign(lits(CR), lits(CR) + clauseSize(CR));
+  Sink->onDelete(ProofScratch);
 }
 
-Var SatSolver::newVar() {
-  Var V = int(Assigns.size());
-  Assigns.push_back(LBool::Undef);
-  SavedPhase.push_back(false);
-  Levels.push_back(0);
-  Reasons.push_back(NoReason);
-  Activity.push_back(0.0);
-  Seen.push_back(0);
-  Watches.emplace_back();
-  Watches.emplace_back();
-  HeapPos.push_back(-1);
-  Decision.push_back(1);
-  heapInsert(V);
-  return V;
+float SatSolver::activity(ClauseRef CR) const {
+  float A;
+  std::memcpy(&A, &Arena[CR + HdrAct].X, sizeof A);
+  return A;
+}
+
+void SatSolver::setActivity(ClauseRef CR, float A) {
+  std::memcpy(&Arena[CR + HdrAct].X, &A, sizeof A);
+}
+
+Var SatSolver::newVars(size_t N) {
+  Var First = Var(Assigns.size());
+  size_t Total = Assigns.size() + N;
+  Assigns.resize(Total, LBool::Undef);
+  SavedPhase.resize(Total, false);
+  Levels.resize(Total, 0);
+  Reasons.resize(Total, NoReason);
+  Activity.resize(Total, 0.0);
+  Seen.resize(Total, 0);
+  Watches.resize(2 * Total);
+  HeapPos.resize(Total, -1);
+  Decision.resize(Total, 1);
+  for (Var V = First; V < Var(Total); ++V)
+    heapInsert(V);
+  return First;
 }
 
 void SatSolver::percolateUp(int I) {
@@ -101,21 +117,23 @@ Var SatSolver::heapPop() {
   return Top;
 }
 
-bool SatSolver::addClause(std::vector<Lit> Lits) {
+bool SatSolver::addClause(const Lit *Lits, size_t N) {
   // Incremental use: undo any decisions left over from a previous solve so
   // the normalization below only consults level-0 (entailed) assignments.
   backtrack(0);
   if (Unsat)
     return false;
-  logInput(Lits);
-  size_t InputSize = Lits.size();
-  // Normalize: sort, drop duplicates, detect tautologies, drop literals
-  // already false at level 0, and succeed on literals already true.
-  std::sort(Lits.begin(), Lits.end(),
-            [](Lit A, Lit B) { return A.X < B.X; });
-  std::vector<Lit> Out;
+  logInput(Lits, N);
+  // Normalize in place: sort, drop duplicates, detect tautologies, drop
+  // literals already false at level 0, and succeed on literals already
+  // true.
+  std::vector<Lit> &Out = AddScratch;
+  Out.assign(Lits, Lits + N);
+  std::sort(Out.begin(), Out.end(), [](Lit A, Lit B) { return A.X < B.X; });
+  size_t Kept = 0;
   Lit Prev = Lit::undef();
-  for (Lit L : Lits) {
+  for (size_t I = 0; I < Out.size(); ++I) {
+    Lit L = Out[I];
     assert(L.var() >= 0 && size_t(L.var()) < Assigns.size() &&
            "literal references unallocated variable");
     if (L == Prev)
@@ -126,14 +144,15 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
       return true; // Satisfied at level 0.
     if (value(L) == LBool::False)
       continue; // Falsified at level 0; drop.
-    Out.push_back(L);
+    Out[Kept++] = L;
     Prev = L;
   }
+  Out.resize(Kept);
   // The normalized clause is RUP with respect to the database (dropped
   // literals are falsified by level-0 propagation, which the checker
   // reproduces), so logging it keeps the proof aligned with the clause
   // the solver actually reasons with.
-  if (Out.size() != InputSize)
+  if (Kept != N)
     logLemma(Out);
   // A stored clause may mention a variable whose decision flag a client
   // cleared; the flag invariant (Sat.h) needs it back on.
@@ -152,18 +171,29 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
     }
     return true;
   }
-  Clauses.push_back(Clause{std::move(Out), /*Learnt=*/false});
-  ArenaBytes += clauseBytes(Clauses.back());
-  S.ArenaBytesPeak = std::max(S.ArenaBytesPeak, ArenaBytes);
-  attachClause(int(Clauses.size()) - 1);
+  storeClause(Out.data(), Out.size(), /*IsLearnt=*/false, /*Lbd=*/0);
   return true;
 }
 
+SatSolver::ClauseRef SatSolver::storeClause(const Lit *Lits, size_t N,
+                                            bool IsLearnt, uint32_t Lbd) {
+  ClauseRef CR = ClauseRef(Arena.size());
+  Arena.push_back(Lit{int(N)});
+  Arena.push_back(Lit{IsLearnt ? FlagLearnt : 0});
+  Arena.push_back(Lit{int(Lbd)});
+  Arena.push_back(Lit{0}); // Activity 0.0f.
+  Arena.insert(Arena.end(), Lits, Lits + N);
+  Clauses.push_back(CR);
+  S.ArenaBytesPeak = std::max(S.ArenaBytesPeak, arenaBytes());
+  attachClause(CR);
+  return CR;
+}
+
 void SatSolver::attachClause(ClauseRef CR) {
-  const Clause &C = Clauses[CR];
-  assert(C.Lits.size() >= 2 && "watching a short clause");
-  Watches[(~C.Lits[0]).index()].push_back(CR);
-  Watches[(~C.Lits[1]).index()].push_back(CR);
+  assert(clauseSize(CR) >= 2 && "watching a short clause");
+  const Lit *C = lits(CR);
+  Watches[(~C[0]).index()].push_back(CR);
+  Watches[(~C[1]).index()].push_back(CR);
 }
 
 void SatSolver::enqueue(Lit L, ClauseRef Reason) {
@@ -184,21 +214,21 @@ SatSolver::ClauseRef SatSolver::propagate() {
     size_t Keep = 0;
     for (size_t I = 0; I < WList.size(); ++I) {
       ClauseRef CR = WList[I];
-      Clause &C = Clauses[CR];
+      Lit *C = lits(CR);
       // Ensure the falsified literal is in slot 1.
-      if (C.Lits[0] == ~P)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == ~P && "watch list out of sync");
-      if (value(C.Lits[0]) == LBool::True) {
+      if (C[0] == ~P)
+        std::swap(C[0], C[1]);
+      assert(C[1] == ~P && "watch list out of sync");
+      if (value(C[0]) == LBool::True) {
         WList[Keep++] = CR;
         continue;
       }
       // Look for a new literal to watch.
       bool FoundWatch = false;
-      for (size_t K = 2; K < C.Lits.size(); ++K) {
-        if (value(C.Lits[K]) != LBool::False) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[(~C.Lits[1]).index()].push_back(CR);
+      for (size_t K = 2, Size = clauseSize(CR); K < Size; ++K) {
+        if (value(C[K]) != LBool::False) {
+          std::swap(C[1], C[K]);
+          Watches[(~C[1]).index()].push_back(CR);
           FoundWatch = true;
           break;
         }
@@ -207,7 +237,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         continue;
       // Unit or conflicting.
       WList[Keep++] = CR;
-      if (value(C.Lits[0]) == LBool::False) {
+      if (value(C[0]) == LBool::False) {
         // Conflict: restore remaining watches and report.
         for (size_t K = I + 1; K < WList.size(); ++K)
           WList[Keep++] = WList[K];
@@ -215,7 +245,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         QueueHead = Trail.size();
         return CR;
       }
-      enqueue(C.Lits[0], CR);
+      enqueue(C[0], CR);
     }
     WList.resize(Keep);
   }
@@ -235,11 +265,11 @@ void SatSolver::bumpVar(Var V) {
 }
 
 void SatSolver::bumpClause(ClauseRef CR) {
-  Clause &C = Clauses[CR];
-  C.Act += float(ClaInc);
-  if (C.Act > ClauseRescaleThreshold) {
-    for (Clause &Other : Clauses)
-      Other.Act /= ClauseRescaleThreshold;
+  float Act = activity(CR) + float(ClaInc);
+  setActivity(CR, Act);
+  if (Act > ClauseRescaleThreshold) {
+    for (ClauseRef Other : Clauses)
+      setActivity(Other, activity(Other) / ClauseRescaleThreshold);
     ClaInc /= double(ClauseRescaleThreshold);
   }
 }
@@ -261,55 +291,60 @@ uint32_t SatSolver::computeLbd(const std::vector<Lit> &C) {
   return N;
 }
 
-void SatSolver::removeClauses(const std::vector<char> &Del) {
+void SatSolver::removeClauses() {
   assert(decisionLevel() == 0 && "clause deletion above level 0");
-  assert(Del.size() == Clauses.size());
-  std::vector<ClauseRef> Remap(Clauses.size(), NoReason);
+  size_t Words = 0;
+  for (ClauseRef CR : Clauses)
+    if (!hasFlag(CR, FlagDeleted))
+      Words += HeaderWords + clauseSize(CR);
+  // The survivors move, in order, into an arena reserved to their exact
+  // size, so the memory of the deleted clauses is really returned.
+  std::vector<Lit> Fresh;
+  Fresh.reserve(Words);
   size_t Kept = 0;
-  for (size_t I = 0; I < Clauses.size(); ++I)
-    Kept += !Del[I];
-  std::vector<Clause> Compact;
-  Compact.reserve(Kept);
-  for (size_t I = 0; I < Clauses.size(); ++I) {
-    if (Del[I]) {
+  for (ClauseRef CR : Clauses) {
+    if (hasFlag(CR, FlagDeleted)) {
       ++S.ClausesDeleted;
-      if (Clauses[I].Learnt) {
+      if (hasFlag(CR, FlagLearnt)) {
         assert(LearntCount > 0);
         --LearntCount;
       }
-      ArenaBytes -= clauseBytes(Clauses[I]);
-      logDelete(Clauses[I].Lits);
+      logDelete(CR);
       continue;
     }
-    Remap[I] = ClauseRef(Compact.size());
-    Compact.push_back(std::move(Clauses[I]));
+    ClauseRef To = ClauseRef(Fresh.size());
+    Fresh.insert(Fresh.end(), &Arena[CR],
+                 &Arena[CR] + HeaderWords + clauseSize(CR));
+    // The old header's LBD word (already copied) forwards to the new
+    // offset.
+    Arena[CR + HdrLbd].X = int(To);
+    Clauses[Kept++] = To;
   }
-  // The move assignment drops the old (larger) buffer; Compact was
-  // reserved to the exact survivor count, so the arena really shrinks.
-  Clauses = std::move(Compact);
-  // Rebuild the watcher lists from scratch. Each surviving clause still
-  // watches Lits[0]/Lits[1] — the invariant propagate() maintains — so
-  // re-attaching in place is sound at level 0. shrink_to_fit returns the
-  // old lists' capacity before the re-attach repopulates them.
-  for (std::vector<ClauseRef> &W : Watches) {
-    W.clear();
-    W.shrink_to_fit();
-  }
-  for (size_t I = 0; I < Clauses.size(); ++I)
-    attachClause(ClauseRef(I));
-  // Remap reasons. A deleted reason can only belong to a level-0
+  Clauses.resize(Kept);
+  // Forward reasons. A deleted reason can only belong to a level-0
   // assignment (everything above level 0 was undone before deletion, and
   // deletion never targets a clause locked above level 0); level-0
   // reasons are never dereferenced by analyze()/analyzeFinal(), which
-  // both skip level-0 literals, so clearing them is safe.
-  for (size_t V = 0; V < Assigns.size(); ++V) {
-    if (Reasons[V] == NoReason)
+  // both skip level-0 literals, so clearing them is safe. Only assigned
+  // variables, which are all on the trail, have a reason.
+  for (Lit L : Trail) {
+    ClauseRef &R = Reasons[L.var()];
+    if (R == NoReason)
       continue;
-    ClauseRef N = Remap[Reasons[V]];
-    assert((N != NoReason || Levels[V] == 0) &&
+    assert(lits(R)[0] == L && "a reason implies its first literal");
+    assert((!hasFlag(R, FlagDeleted) || Levels[L.var()] == 0) &&
            "deleted the reason of an assignment above level 0");
-    Reasons[V] = N;
+    R = hasFlag(R, FlagDeleted) ? NoReason : ClauseRef(Arena[R + HdrLbd].X);
   }
+  Arena = std::move(Fresh);
+  // Rebuild the watcher lists in clause order. Each surviving clause still
+  // watches its first two literals — the invariant propagate() maintains —
+  // so re-attaching in place is sound at level 0. The lists keep their
+  // capacity for the clauses still to come.
+  for (std::vector<ClauseRef> &W : Watches)
+    W.clear();
+  for (ClauseRef CR : Clauses)
+    attachClause(CR);
 }
 
 void SatSolver::reduceDB() {
@@ -317,54 +352,55 @@ void SatSolver::reduceDB() {
   ++S.ReduceDbRuns;
   // Locked clauses (reasons of current — i.e. level-0 — assignments) are
   // kept: MiniSat's discipline, and the cheap way to keep Reasons valid.
-  std::vector<char> Locked(Clauses.size(), 0);
   for (Lit L : Trail) {
-    ClauseRef R = Reasons[L.var()];
-    if (R != NoReason)
-      Locked[R] = 1;
+    if (Reasons[L.var()] == NoReason)
+      continue;
+    assert(lits(Reasons[L.var()])[0] == L &&
+           "a reason implies its first literal");
+    setFlag(Reasons[L.var()], FlagLocked);
   }
   std::vector<ClauseRef> Candidates;
-  for (size_t I = 0; I < Clauses.size(); ++I) {
-    const Clause &C = Clauses[I];
-    if (C.Learnt && !Locked[I] && C.Lits.size() > 2 && C.Lbd > Reduce.GlueLbd)
-      Candidates.push_back(ClauseRef(I));
-  }
+  for (ClauseRef CR : Clauses)
+    if (hasFlag(CR, FlagLearnt) && !hasFlag(CR, FlagLocked) &&
+        clauseSize(CR) > 2 && lbd(CR) > Reduce.GlueLbd)
+      Candidates.push_back(CR);
+  for (Lit L : Trail)
+    if (Reasons[L.var()] != NoReason)
+      clearFlag(Reasons[L.var()], FlagLocked);
   if (Candidates.empty())
     return;
-  // Cold half first: highest LBD, then lowest activity; index breaks ties
-  // so runs are deterministic.
+  // Cold half first: highest LBD, then lowest activity; the arena offset,
+  // which follows insertion order, breaks ties so runs are deterministic.
   std::sort(Candidates.begin(), Candidates.end(),
             [this](ClauseRef A, ClauseRef B) {
-              const Clause &CA = Clauses[A], &CB = Clauses[B];
-              if (CA.Lbd != CB.Lbd)
-                return CA.Lbd > CB.Lbd;
-              if (CA.Act != CB.Act)
-                return CA.Act < CB.Act;
+              if (lbd(A) != lbd(B))
+                return lbd(A) > lbd(B);
+              if (activity(A) != activity(B))
+                return activity(A) < activity(B);
               return A < B;
             });
-  std::vector<char> Del(Clauses.size(), 0);
   for (size_t I = 0; I < Candidates.size() / 2; ++I)
-    Del[Candidates[I]] = 1;
-  removeClauses(Del);
+    setFlag(Candidates[I], FlagDeleted);
+  removeClauses();
 }
 
 void SatSolver::simplify() {
   backtrack(0);
   if (Unsat)
     return;
-  std::vector<char> Del(Clauses.size(), 0);
   bool Any = false;
-  for (size_t I = 0; I < Clauses.size(); ++I) {
-    for (Lit Q : Clauses[I].Lits) {
-      if (value(Q) == LBool::True) {
-        Del[I] = 1;
+  for (ClauseRef CR : Clauses) {
+    const Lit *C = lits(CR);
+    for (size_t K = 0, Size = clauseSize(CR); K < Size; ++K) {
+      if (value(C[K]) == LBool::True) {
+        setFlag(CR, FlagDeleted);
         Any = true;
         break;
       }
     }
   }
   if (Any)
-    removeClauses(Del);
+    removeClauses();
 }
 
 void SatSolver::analyze(ClauseRef Conflict, std::vector<Lit> &Learnt,
@@ -380,10 +416,11 @@ void SatSolver::analyze(ClauseRef Conflict, std::vector<Lit> &Learnt,
 
   do {
     assert(Reason != NoReason && "analysis escaped the implication graph");
-    if (Clauses[Reason].Learnt)
+    if (hasFlag(Reason, FlagLearnt))
       bumpClause(Reason);
-    const Clause &C = Clauses[Reason];
-    for (Lit Q : C.Lits) {
+    const Lit *C = lits(Reason);
+    for (size_t K = 0, Size = clauseSize(Reason); K < Size; ++K) {
+      Lit Q = C[K];
       if (P != Lit::undef() && Q == P)
         continue;
       Var V = Q.var();
@@ -493,9 +530,10 @@ void SatSolver::analyzeFinal(Lit A) {
       // Mark the antecedents, skipping X's own literal in its reason
       // clause — marking it would re-set the Seen bit just cleared above
       // and leak it past this walk, corrupting later conflict analyses.
-      for (Lit Q : Clauses[Reasons[X]].Lits)
-        if (Q.var() != X && Levels[Q.var()] > 0)
-          Seen[Q.var()] = 1;
+      const Lit *C = lits(Reasons[X]);
+      for (size_t K = 0, Size = clauseSize(Reasons[X]); K < Size; ++K)
+        if (C[K].var() != X && Levels[C[K].var()] > 0)
+          Seen[C[K].var()] = 1;
     }
   }
   Seen[A.var()] = 0;
@@ -523,7 +561,7 @@ bool SatSolver::solveUnderAssumptions(const std::vector<Lit> &Assumptions) {
   uint64_t LocalRestarts = 0;
   uint64_t RestartConflicts = RestartBase * luby(LocalRestarts);
   uint64_t ConflictsSinceRestart = 0;
-  std::vector<Lit> Learnt;
+  std::vector<Lit> &Learnt = LearntScratch;
 
   for (;;) {
     ClauseRef Conflict = propagate();
@@ -544,14 +582,12 @@ bool SatSolver::solveUnderAssumptions(const std::vector<Lit> &Assumptions) {
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);
       } else {
-        Clauses.push_back(Clause{Learnt, /*Learnt=*/true, Lbd, 0.0f});
+        ClauseRef CR =
+            storeClause(Learnt.data(), Learnt.size(), /*IsLearnt=*/true, Lbd);
         ++LearntCount;
         S.LearntPeak = std::max<uint64_t>(S.LearntPeak, LearntCount);
-        ArenaBytes += clauseBytes(Clauses.back());
-        S.ArenaBytesPeak = std::max(S.ArenaBytesPeak, ArenaBytes);
-        attachClause(int(Clauses.size()) - 1);
-        bumpClause(int(Clauses.size()) - 1);
-        enqueue(Learnt[0], int(Clauses.size()) - 1);
+        bumpClause(CR);
+        enqueue(Learnt[0], CR);
       }
       decayVarActivity();
       decayClauseActivity();

@@ -83,6 +83,18 @@ inline LBool negate(LBool B) {
 /// lemma derived from them, which necessarily carries the retirement
 /// literal) are physically removed rather than left as dead weight.
 ///
+/// Clause storage is one flat arena (MiniSat's clause allocator, Eén &
+/// Sörensson, SAT 2003): every stored clause of two or more literals is a
+/// 4-word header — size, flags, LBD, activity bits — followed inline by its
+/// literals, and a ClauseRef is the offset of its header. Watch lists and
+/// reasons hold ClauseRefs; a live-clause list keeps insertion order, which
+/// is the order reduceDB breaks ties in and the order watch lists are
+/// rebuilt in. Adding a clause copies it into the arena without any other
+/// allocation once the scratch buffers have grown. reduceDB() and
+/// simplify() compact the arena into a fresh one, so every ClauseRef held
+/// across either call is invalid afterwards; the solver forwards its own
+/// reasons and watches.
+///
 /// Every variable carries a *decision flag* (MiniSat's setDecisionVar,
 /// Eén & Sörensson, SAT 2003). Search branches only on flagged variables
 /// and answers SAT once all of them are assigned, so a variable whose
@@ -99,19 +111,31 @@ inline LBool negate(LBool B) {
 class SatSolver {
 public:
   /// Allocates a fresh variable. May be called between solves.
-  Var newVar();
+  Var newVar() { return newVars(1); }
 
-  /// Adds a clause (disjunction of literals). Returns false if the clause
-  /// set is already unsatisfiable at level 0. May be called between
-  /// solves; any decisions from a previous call are first undone (which
-  /// invalidates the previous model — read it before adding clauses).
-  bool addClause(std::vector<Lit> Lits);
+  /// Allocates \p N fresh variables, numbered consecutively from the
+  /// returned one; the same as N newVar() calls.
+  Var newVars(size_t N);
 
-  /// Convenience overloads for short clauses.
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  /// Adds a clause (disjunction of the \p N literals at \p Lits). Returns
+  /// false if the clause set is already unsatisfiable at level 0. May be
+  /// called between solves; any decisions from a previous call are first
+  /// undone (which invalidates the previous model — read it before adding
+  /// clauses).
+  bool addClause(const Lit *Lits, size_t N);
+
+  /// Convenience overloads.
+  bool addClause(const std::vector<Lit> &Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    const Lit C[] = {A, B};
+    return addClause(C, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    const Lit D[] = {A, B, C};
+    return addClause(D, 3);
   }
 
   /// Decides satisfiability of the clause set alone. Equivalent to
@@ -159,11 +183,12 @@ public:
   size_t numClauses() const { return Clauses.size(); }
   size_t numLearntClauses() const { return LearntCount; }
 
-  /// Live bytes held by the clause arena (stored clause literals plus
-  /// per-clause headers). Capacity slack is deliberately excluded so the
-  /// number is deterministic across allocators; Stats::ArenaBytesPeak
-  /// tracks the high-water mark of this value.
-  uint64_t arenaBytes() const { return ArenaBytes; }
+  /// Live bytes held by the clause arena: (4 + size) × 4 bytes per stored
+  /// clause, its header words plus its literals. Capacity slack is
+  /// deliberately excluded so the number is deterministic across
+  /// allocators; Stats::ArenaBytesPeak tracks the high-water mark of this
+  /// value.
+  uint64_t arenaBytes() const { return Arena.size() * sizeof(Lit); }
 
   /// Learned-clause database management (MiniSat/Glucose lineage).
   /// reduceDB() runs automatically at restart boundaries once the
@@ -174,7 +199,7 @@ public:
   /// clauses, binary clauses, and clauses whose literal-block distance is
   /// at or below GlueLbd; of the remaining candidates the cold half —
   /// highest LBD, then lowest activity — is deleted, and the clause arena
-  /// and watcher lists are compacted so the memory is actually returned.
+  /// is compacted so the memory is actually returned.
   struct ReducePolicy {
     bool Enabled = true;
     uint64_t FirstReduce = 2000; ///< Learnts before the first reduction.
@@ -227,14 +252,40 @@ public:
   const Stats &stats() const { return S; }
 
 private:
-  struct Clause {
-    std::vector<Lit> Lits;
-    bool Learnt = false;
-    uint32_t Lbd = 0; ///< Literal-block distance at learn time.
-    float Act = 0.0f; ///< Bumped when resolved on in analyze().
+  /// Offset of a clause's header in Arena.
+  using ClauseRef = uint32_t;
+  static constexpr ClauseRef NoReason = ~ClauseRef(0);
+
+  /// Header words, in order, ahead of a clause's literals. Each word is a
+  /// Lit slot holding a plain integer (Lit::X), so the arena is one
+  /// std::vector<Lit>; the activity is a float's bit pattern.
+  enum : uint32_t {
+    HdrSize = 0,  ///< Number of literals.
+    HdrFlags = 1, ///< ClauseFlag bits.
+    HdrLbd = 2,   ///< Literal-block distance at learn time.
+    HdrAct = 3,   ///< Activity, bumped when resolved on in analyze().
+    HeaderWords = 4,
   };
-  using ClauseRef = int;
-  static constexpr ClauseRef NoReason = -1;
+  enum ClauseFlag : int {
+    FlagLearnt = 1,
+    FlagLocked = 2,  ///< Reason of a current assignment (reduceDB only).
+    FlagDeleted = 4, ///< Dropped by the next removeClauses().
+  };
+
+  uint32_t clauseSize(ClauseRef CR) const { return Arena[CR + HdrSize].X; }
+  Lit *lits(ClauseRef CR) { return &Arena[CR + HeaderWords]; }
+  bool hasFlag(ClauseRef CR, ClauseFlag F) const {
+    return Arena[CR + HdrFlags].X & F;
+  }
+  void setFlag(ClauseRef CR, ClauseFlag F) { Arena[CR + HdrFlags].X |= F; }
+  void clearFlag(ClauseRef CR, ClauseFlag F) { Arena[CR + HdrFlags].X &= ~F; }
+  uint32_t lbd(ClauseRef CR) const { return uint32_t(Arena[CR + HdrLbd].X); }
+  float activity(ClauseRef CR) const;
+  void setActivity(ClauseRef CR, float A);
+  /// Appends a clause to the arena and the live list, attaches its
+  /// watches and returns its reference.
+  ClauseRef storeClause(const Lit *Lits, size_t N, bool IsLearnt,
+                        uint32_t Lbd);
 
   LBool value(Lit L) const {
     LBool V = Assigns[L.var()];
@@ -259,19 +310,19 @@ private:
   void decayClauseActivity() { ClaInc /= ClauseActivityDecay; }
   uint32_t computeLbd(const std::vector<Lit> &C);
   void reduceDB();
-  /// Deletes every clause with Del[ref] set, compacts the clause arena
-  /// and rebuilds watcher lists; remaps Reasons (a deleted reason is only
-  /// legal for a level-0 assignment, whose reason is never dereferenced).
-  /// Must be called at decision level 0.
-  void removeClauses(const std::vector<char> &Del);
-  static uint64_t clauseBytes(const Clause &C) {
-    return sizeof(Clause) + C.Lits.size() * sizeof(Lit);
-  }
+  /// Deletes every clause flagged FlagDeleted: copies the survivors, in order,
+  /// into a fresh arena, forwards Reasons through the old headers (a
+  /// deleted reason is only legal for a level-0 assignment, whose reason
+  /// is never dereferenced) and rebuilds the watcher lists. Must be called
+  /// at decision level 0.
+  void removeClauses();
   void attachClause(ClauseRef CR);
   int decisionLevel() const { return int(TrailLim.size()); }
   static uint64_t luby(uint64_t I);
 
-  std::vector<Clause> Clauses;
+  /// Clause headers and literals, back to back (see the class comment).
+  std::vector<Lit> Arena;
+  std::vector<ClauseRef> Clauses; ///< Live clauses in insertion order.
   std::vector<std::vector<ClauseRef>> Watches; ///< Indexed by Lit::index().
   std::vector<LBool> Assigns;
   std::vector<bool> SavedPhase;
@@ -291,15 +342,18 @@ private:
   double ClaInc = 1.0;
   static constexpr double ClauseActivityDecay = 0.999;
   static constexpr float ClauseRescaleThreshold = 1e20f;
-  uint64_t ArenaBytes = 0;
   std::vector<uint64_t> LevelStamp; ///< Scratch for computeLbd().
   uint64_t LbdStamp = 0;
 
   /// Proof-sink helpers; no-ops without a sink. Defined out of line
   /// because ProofSink is incomplete here.
-  void logInput(const std::vector<Lit> &C);
+  void logInput(const Lit *Lits, size_t N);
   void logLemma(const std::vector<Lit> &C);
-  void logDelete(const std::vector<Lit> &C);
+  void logDelete(ClauseRef CR);
+
+  std::vector<Lit> AddScratch;   ///< addClause()'s normalized clause.
+  std::vector<Lit> ProofScratch; ///< A clause handed to the proof sink.
+  std::vector<Lit> LearntScratch; ///< analyze()'s learnt clause.
 
   std::vector<char> Seen; ///< Scratch for analyze().
   /// Max-heap over variable activity for branching (MiniSat order heap).

@@ -278,6 +278,18 @@ void expectSimplifySpans(const serve::Json &Doc, uint64_t Simplifies) {
             Simplifies);
 }
 
+uint64_t releases() { return histogramCount("check.release_micros"); }
+
+/// The run-state release: every traced check ends in one check.release,
+/// directly inside its check.run, and each is one observed
+/// check.release_micros.
+void expectReleaseSpans(const serve::Json &Doc, uint64_t Releases) {
+  EXPECT_GT(Releases, 0u);
+  EXPECT_EQ(spanCount(Doc, "check.run"), Releases);
+  EXPECT_EQ(spanCount(Doc, "check.release"), Releases);
+  EXPECT_EQ(spansNestedIn(Doc, "check.release", "check.run"), Releases);
+}
+
 TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   obs::TraceSink Sink;
   // Every WP call is timed (check.wp_micros, traced or not) and, when
@@ -285,7 +297,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   // per Extend.
   uint64_t WpObservedBefore = histogramCount("check.wp_micros");
   size_t ExtendsAll = 0, ExtendsTraced = 0;
-  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0;
+  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0, ReleasesTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     CheckOptions Options;
     // The CertificateTest sweep budgets: Applicability rows only need to
@@ -295,9 +307,10 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     Options.RecordTrace = true;
     CheckRequest Req = registryRequest(Study, Options);
 
-    uint64_t BaselineFrom = simplifies();
+    uint64_t BaselineFrom = simplifies(), BaselineReleasesFrom = releases();
     CertifiedRun Baseline = runCertified(Req);
     uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
+    uint64_t BaselineReleases = releases() - BaselineReleasesFrom;
     ExtendsAll += extendSteps(Baseline.Res);
 
     // Traced runs share one sink across studies so the final trace also
@@ -305,12 +318,14 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
-      uint64_t SimplifiesFrom = simplifies();
+      uint64_t SimplifiesFrom = simplifies(), ReleasesFrom = releases();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
       EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
           << Study.Name;
       SimplifiesTraced += simplifies() - SimplifiesFrom;
+      EXPECT_EQ(releases() - ReleasesFrom, BaselineReleases) << Study.Name;
+      ReleasesTraced += releases() - ReleasesFrom;
       expectDecisionIdentical(Study.Name, Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -334,6 +349,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
   expectSimplifySpans(Doc, SimplifiesTraced);
+  expectReleaseSpans(Doc, ReleasesTraced);
   std::remove(Path.c_str());
 }
 
@@ -344,7 +360,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
 TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
   size_t ExtendsTraced = 0;
-  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0;
+  uint64_t LoweringsTraced = 0, SimplifiesTraced = 0, ReleasesTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
     // not corpus breadth (the study sweep above owns that). The budget
@@ -358,18 +374,21 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
     Options.GoalBatch = 8;
     CheckRequest Req = registryRequest(Study, Options);
 
-    uint64_t BaselineFrom = simplifies();
+    uint64_t BaselineFrom = simplifies(), BaselineReleasesFrom = releases();
     CertifiedRun Baseline = runCertified(Req);
     uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
+    uint64_t BaselineReleases = releases() - BaselineReleasesFrom;
     {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
-      uint64_t SimplifiesFrom = simplifies();
+      uint64_t SimplifiesFrom = simplifies(), ReleasesFrom = releases();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
       EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
           << Study.Name;
       SimplifiesTraced += simplifies() - SimplifiesFrom;
+      EXPECT_EQ(releases() - ReleasesFrom, BaselineReleases) << Study.Name;
+      ReleasesTraced += releases() - ReleasesFrom;
       expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -390,6 +409,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   EXPECT_EQ(spanCount(Doc, "check.wp"), ExtendsTraced);
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
   expectSimplifySpans(Doc, SimplifiesTraced);
+  expectReleaseSpans(Doc, ReleasesTraced);
   std::remove(Path.c_str());
 }
 

@@ -15,6 +15,8 @@
 
 #include "smt/Sat.h"
 
+#include "smt/ProofLog.h"
+
 #include "FuzzSupport.h"
 
 #include <gtest/gtest.h>
@@ -502,11 +504,12 @@ TEST(SatReduce, ArenaBytesTrackLiveClauses) {
   SatSolver S;
   EXPECT_EQ(S.arenaBytes(), 0u);
   Var A = S.newVar(), B = S.newVar(), C = S.newVar();
+  // A stored clause costs its 4 header words plus its literals, 4 bytes
+  // each.
   S.addClause(pos(A), pos(B), pos(C));
-  uint64_t One = S.arenaBytes();
-  EXPECT_GT(One, 0u);
+  EXPECT_EQ(S.arenaBytes(), (4u + 3u) * 4u);
   S.addClause(neg(A), pos(B));
-  EXPECT_GT(S.arenaBytes(), One);
+  EXPECT_EQ(S.arenaBytes(), (4u + 3u) * 4u + (4u + 2u) * 4u);
   EXPECT_EQ(S.stats().ArenaBytesPeak, S.arenaBytes());
   // Unit clauses are enqueued, not stored: no arena growth.
   uint64_t BeforeUnit = S.arenaBytes();
@@ -516,7 +519,7 @@ TEST(SatReduce, ArenaBytesTrackLiveClauses) {
   // stays where it was.
   uint64_t Peak = S.stats().ArenaBytesPeak;
   S.simplify();
-  EXPECT_LT(S.arenaBytes(), BeforeUnit);
+  EXPECT_EQ(S.arenaBytes(), 0u);
   EXPECT_EQ(S.stats().ArenaBytesPeak, Peak);
 }
 
@@ -1095,5 +1098,251 @@ TEST_P(SatDecisionFuzz, ClearedFlagsChangeNoAnswer) {
 
 INSTANTIATE_TEST_SUITE_P(Random, SatDecisionFuzz,
                          ::testing::Range(0, fuzzIters(300)));
+
+
+//===----------------------------------------------------------------------===//
+// Clause arena: compaction moves clauses, never the search.
+//===----------------------------------------------------------------------===//
+
+/// A random clause of 1–3 literals over variables [0, NumVars).
+std::vector<Lit> randomClause(Rng &R, size_t NumVars) {
+  std::vector<Lit> C;
+  for (size_t K = 1 + R.below(3); K > 0; --K)
+    C.push_back(Lit::mk(Var(R.below(NumVars)), R.below(2)));
+  return C;
+}
+
+/// Differential fence for the clause arena. One long-lived solver on a
+/// reduceDB schedule that fires at every restart (FirstReduce 1–4, no
+/// growth, glue 0–2) answers a random incremental workload near the
+/// 3-SAT threshold — hard enough to restart within a solve — made of
+/// activation-guarded groups with variables of their own, retirements
+/// that clear their flags and compact the arena with simplify(), and
+/// units taken from the last model. A unit can turn learnt clauses into
+/// reasons of level-0 assignments, which reduceDB must lock and every
+/// compaction must forward. After every solve the answer must equal a
+/// fresh solver's over the live clauses; every model must satisfy every
+/// clause ever added, and every failed-assumption set must be a core.
+class SatArenaFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatArenaFuzz, CompactionChangesNoAnswer) {
+  leapfrog::testing::reportFuzzConfig("SatArenaFuzz", fuzzIters(60),
+                                      uint64_t(GetParam()) + 9090);
+  Rng R{uint64_t(GetParam()) + 9090};
+  SatSolver S;
+  SatSolver::ReducePolicy P;
+  P.FirstReduce = 1 + R.below(4);
+  P.Growth = 1.0;
+  P.GlueLbd = uint32_t(R.below(3));
+  S.setReducePolicy(P);
+  size_t NumShared = 90 + R.below(40);
+  for (size_t V = 0; V < NumShared; ++V)
+    (void)S.newVar();
+
+  struct Group {
+    Lit Act;
+    Var End; ///< One past the group's last variable.
+    std::vector<std::vector<Lit>> Clauses;
+  };
+  std::vector<std::vector<Lit>> Unguarded; ///< Live forever.
+  std::vector<Group> LiveGroups;
+  std::vector<std::vector<Lit>> AllClauses; ///< Retired ones too.
+  bool AddOk = true;
+  auto Add = [&](std::vector<Lit> C) {
+    AllClauses.push_back(C);
+    AddOk &= S.addClause(C);
+  };
+  auto AddUnguarded = [&](std::vector<Lit> C) {
+    Unguarded.push_back(C);
+    Add(std::move(C));
+  };
+  // About 4.2 3-literal clauses per variable: at the threshold.
+  for (size_t I = NumShared * 21 / 5; I > 0; --I) {
+    std::vector<Lit> C;
+    for (int K = 0; K < 3; ++K)
+      C.push_back(Lit::mk(Var(R.below(NumShared)), R.below(2)));
+    AddUnguarded(std::move(C));
+  }
+  std::vector<Lit> LastModel; ///< Shared literals true in the last model.
+  for (int Round = 0; Round < 10 && AddOk; ++Round) {
+    if (R.below(3) != 0) {
+      Group G;
+      G.Act = Lit::mk(S.newVar(), false);
+      Var FirstLocal = Var(S.numVars());
+      for (size_t K = 2 + R.below(6); K > 0; --K)
+        (void)S.newVar();
+      G.End = Var(S.numVars());
+      for (size_t I = 2 + R.below(8); I > 0; --I) {
+        std::vector<Lit> C = randomClause(R, NumShared);
+        C.push_back(~G.Act);
+        C.push_back(Lit::mk(FirstLocal + Var(R.below(size_t(G.End -
+                                                            FirstLocal))),
+                            R.below(2)));
+        G.Clauses.push_back(C);
+        Add(std::move(C));
+      }
+      LiveGroups.push_back(std::move(G));
+    }
+    // A unit agreeing with the last model keeps the shared clauses
+    // satisfiable while fixing facts at level 0.
+    for (size_t K = LastModel.empty() ? 0 : R.below(4); K > 0; --K)
+      AddUnguarded({LastModel[R.below(LastModel.size())]});
+
+    std::vector<Lit> Assumptions;
+    for (const Group &G : LiveGroups)
+      if (R.below(4) != 0)
+        Assumptions.push_back(G.Act);
+    for (size_t K = R.below(3); K > 0; --K)
+      Assumptions.push_back(Lit::mk(Var(R.below(NumShared)), R.below(2)));
+
+    std::vector<std::vector<Lit>> Live = Unguarded;
+    for (const Group &G : LiveGroups)
+      Live.insert(Live.end(), G.Clauses.begin(), G.Clauses.end());
+    SatSolver Fresh;
+    for (size_t V = 0; V < S.numVars(); ++V)
+      (void)Fresh.newVar();
+    bool FreshOk = true;
+    for (const auto &C : Live)
+      FreshOk &= Fresh.addClause(C);
+    bool Reference = FreshOk && Fresh.solveUnderAssumptions(Assumptions);
+    bool Got = AddOk && S.solveUnderAssumptions(Assumptions);
+    ASSERT_EQ(Got, Reference) << "the arena solver diverges, seed "
+                              << GetParam() << " round " << Round;
+    if (Got) {
+      for (const auto &C : AllClauses) {
+        bool Satisfied = false;
+        for (Lit L : C)
+          Satisfied |= S.modelValue(L.var()) != L.negated();
+        EXPECT_TRUE(Satisfied) << "model violates a clause, seed "
+                               << GetParam() << " round " << Round;
+      }
+      for (Lit A : Assumptions)
+        EXPECT_TRUE(S.modelValue(A.var()) != A.negated())
+            << "model violates an assumption, seed " << GetParam();
+      LastModel.clear();
+      for (size_t V = 0; V < NumShared; ++V)
+        LastModel.push_back(Lit::mk(Var(V), !S.modelValue(Var(V))));
+    } else if (AddOk && !S.failedAssumptions().empty()) {
+      SatSolver Core;
+      for (size_t V = 0; V < S.numVars(); ++V)
+        (void)Core.newVar();
+      bool CoreOk = true;
+      for (const auto &C : Live)
+        CoreOk &= Core.addClause(C);
+      EXPECT_FALSE(CoreOk &&
+                   Core.solveUnderAssumptions(S.failedAssumptions()))
+          << "failed-assumption set is not a core, seed " << GetParam()
+          << " round " << Round;
+    }
+
+    // Retire a group the way a session does: ¬act at level 0, its
+    // variables out of the search, then a compaction.
+    if (!LiveGroups.empty() && R.below(2) == 0) {
+      size_t Pick = R.below(LiveGroups.size());
+      Var First = LiveGroups[Pick].Act.var();
+      Var End = LiveGroups[Pick].End;
+      Add({~LiveGroups[Pick].Act});
+      LiveGroups.erase(LiveGroups.begin() + long(Pick));
+      for (Var V = First; V < End; ++V)
+        S.setDecisionVar(V, false);
+      S.simplify();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, SatArenaFuzz,
+                         ::testing::Range(0, fuzzIters(60)));
+
+/// The fixed workload of SatPinned: random 3-SAT near the threshold plus
+/// guarded groups, retired and purged one per round, with a model unit
+/// after every SAT answer and reduceDB at every restart. Returns the
+/// answers, one bit per round.
+uint64_t runPinnedWorkload(SatSolver &S) {
+  Rng R{2022};
+  SatSolver::ReducePolicy P;
+  P.FirstReduce = 2;
+  P.Growth = 1.0;
+  P.GlueLbd = 1;
+  S.setReducePolicy(P);
+  const size_t NumShared = 200;
+  for (size_t V = 0; V < NumShared; ++V)
+    (void)S.newVar();
+  for (size_t I = 0; I < 820; ++I) {
+    std::vector<Lit> C;
+    for (int K = 0; K < 3; ++K)
+      C.push_back(Lit::mk(Var(R.below(NumShared)), R.below(2)));
+    S.addClause(C);
+  }
+  uint64_t Answers = 0;
+  for (int Round = 0; Round < 12; ++Round) {
+    Lit Act = Lit::mk(S.newVar(), false);
+    Var FirstLocal = Var(S.numVars());
+    for (int K = 0; K < 8; ++K)
+      (void)S.newVar();
+    for (int I = 0; I < 16; ++I) {
+      std::vector<Lit> C = randomClause(R, NumShared);
+      C.push_back(~Act);
+      C.push_back(Lit::mk(FirstLocal + Var(R.below(8)), R.below(2)));
+      S.addClause(C);
+    }
+    std::vector<Lit> Assumptions{Act};
+    for (int K = 0; K < 2; ++K)
+      Assumptions.push_back(Lit::mk(Var(R.below(NumShared)), R.below(2)));
+    bool Sat = S.solveUnderAssumptions(Assumptions);
+    Answers |= uint64_t(Sat) << Round;
+    Lit Unit = Lit::undef();
+    if (Sat) {
+      Var V = Var(R.below(NumShared));
+      Unit = Lit::mk(V, !S.modelValue(V));
+    }
+    S.addClause(~Act);
+    for (Var V = Act.var(); V < Var(S.numVars()); ++V)
+      S.setDecisionVar(V, false);
+    S.simplify();
+    if (Unit != Lit::undef())
+      S.addClause(Unit);
+  }
+  return Answers;
+}
+
+/// FNV-1a over a proof stream: each event's kind, length and literals.
+uint64_t hashEvents(const std::vector<ProofEvent> &Events) {
+  uint64_t H = 1469598103934665603ull;
+  auto Mix = [&H](uint64_t X) {
+    H ^= X;
+    H *= 1099511628211ull;
+  };
+  for (const ProofEvent &E : Events) {
+    Mix(uint64_t(E.K));
+    Mix(E.Lits.size());
+    for (Lit L : E.Lits)
+      Mix(uint64_t(uint32_t(L.X)));
+  }
+  return H;
+}
+
+/// Pins the search itself. The clause store may change layout, but the
+/// clause order, the literal order inside each clause (watch swaps
+/// included) and the watch order decide every propagation; a change to
+/// any of them moves these counters or the proof stream (deletions carry
+/// the literal order). The figures are those of the solver before the
+/// clause arena, run on this same workload.
+TEST(SatPinned, SearchIsBitIdentical) {
+  SatSolver S;
+  ProofStream Proof;
+  S.setProofSink(&Proof);
+  uint64_t Answers = runPinnedWorkload(S);
+  const SatSolver::Stats &St = S.stats();
+  EXPECT_EQ(Answers, 0xfffu);
+  EXPECT_EQ(St.Decisions, 2240u);
+  EXPECT_EQ(St.Propagations, 58950u);
+  EXPECT_EQ(St.Conflicts, 1306u);
+  EXPECT_EQ(St.Restarts, 15u);
+  EXPECT_EQ(St.ClausesDeleted, 1480u);
+  EXPECT_EQ(St.ReduceDbRuns, 15u);
+  EXPECT_EQ(St.LearntPeak, 213u);
+  EXPECT_EQ(Proof.Events.size(), 3831u);
+  EXPECT_EQ(hashEvents(Proof.Events), 7465264720428061951ull);
+}
 
 } // namespace
