@@ -143,7 +143,16 @@ CheckResult core::checkWithSpec(const p4a::Automaton &Left,
     // Deduplicate up to α-renaming on the exact keys of FrontierKey.h
     // (see that header for the key discipline and the hash-collision
     // soundness bug it pins).
-    if (!Seen.insert(detail::frontierKey(G)).second)
+    bool Novel = false;
+    {
+      obs::ScopedSpan KeySpan("frontier.key", "frontier");
+      obs::StopWatch KeyWatch;
+      Novel = Seen.insert(detail::frontierKey(G)).second;
+      static obs::Histogram &KeyMicros =
+          obs::metrics().histogram("frontier.key_micros");
+      KeyMicros.observe(KeyWatch.elapsedMicros());
+    }
+    if (!Novel)
       return;
     T.emplace_back(std::move(G));
     St.PeakFrontier = std::max(St.PeakFrontier, T.size());

@@ -33,28 +33,48 @@ namespace leapfrog {
 namespace core {
 namespace detail {
 
-inline std::string templateKey(const logic::Template &T) {
-  return std::to_string(int(T.Q.K)) + ":" + std::to_string(T.Q.Id) + ":" +
-         std::to_string(T.N);
+inline void appendTemplateKey(std::string &Out, const logic::Template &T) {
+  Out += std::to_string(int(T.Q.K));
+  Out += ':';
+  Out += std::to_string(T.Q.Id);
+  Out += ':';
+  Out += std::to_string(T.N);
+}
+
+/// Appends the exact rendering of a guard, "K:Id:N,K:Id:N|".
+inline void appendGuardKey(std::string &Out, const logic::TemplatePair &TP) {
+  appendTemplateKey(Out, TP.L);
+  Out += ',';
+  appendTemplateKey(Out, TP.R);
+  Out += '|';
 }
 
 /// Exact rendering of a guarded formula; two formulas with the same key
 /// are interchangeable in R/T, so pushing both wastes an SMT query.
 inline std::string formulaKey(const logic::GuardedFormula &G) {
-  return templateKey(G.TP.L) + "," + templateKey(G.TP.R) + "|" +
-         G.Phi->str();
+  std::string Key;
+  appendGuardKey(Key, G.TP);
+  G.Phi->appendTo(Key);
+  return Key;
 }
 
-/// The frontier dedup key: exact rendering of the α-canonicalized
-/// conjunct. Canonicalization makes α-equivalent conjuncts (the WP
-/// operator mints fresh variables on every application) share a key; the
-/// *stored* formula keeps its original names — a WP child shares its
-/// parent conjunct's variables, and that identity is what lets the
-/// entailment check discharge the child against the parent (see
-/// logic::canonicalize for why renaming must not be applied to the stored
-/// formula).
+/// The frontier dedup key: the guard, then ψ rendered by the same
+/// printer in its canonical-naming mode (logic::CanonicalNaming), in one
+/// left-to-right pass. α-equivalent conjuncts (the WP operator mints
+/// fresh variables on every application) share a key. The key equals
+/// formulaKey of the conjunct with its rigid variables renamed to their
+/// canonical names: renaming a variable never changes a node's kind, and
+/// the smart constructors fold only on Lit/True/False kinds, so the
+/// renamed formula would have exactly ψ's structure. The *stored*
+/// formula keeps its original names — a WP child shares its parent
+/// conjunct's variables, and that identity is what lets the entailment
+/// check discharge the child against the parent.
 inline std::string frontierKey(const logic::GuardedFormula &G) {
-  return formulaKey(logic::canonicalize(G));
+  std::string Key;
+  appendGuardKey(Key, G.TP);
+  logic::CanonicalNaming Canon;
+  G.Phi->appendTo(Key, &Canon);
+  return Key;
 }
 
 } // namespace detail

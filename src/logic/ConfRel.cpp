@@ -17,21 +17,21 @@ using namespace leapfrog::logic;
 //===----------------------------------------------------------------------===//
 
 BitExprRef BitExpr::mkLit(Bitvector BV) {
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Lit;
   E->Lit = std::move(BV);
   return E;
 }
 
 BitExprRef BitExpr::mkBuf(Side S) {
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Buf;
   E->S = S;
   return E;
 }
 
 BitExprRef BitExpr::mkHdr(Side S, p4a::HeaderId H) {
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Hdr;
   E->S = S;
   E->Hdr = H;
@@ -40,7 +40,7 @@ BitExprRef BitExpr::mkHdr(Side S, p4a::HeaderId H) {
 
 BitExprRef BitExpr::mkVar(std::string Name, size_t Width) {
   assert(Width > 0 && "zero-width rigid variable");
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Var;
   E->Name = std::move(Name);
   E->VarW = Width;
@@ -49,7 +49,7 @@ BitExprRef BitExpr::mkVar(std::string Name, size_t Width) {
 
 BitExprRef BitExpr::mkSlice(BitExprRef Operand, size_t Lo, size_t Hi) {
   assert(Operand && "slice of null expression");
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Slice;
   E->A = std::move(Operand);
   E->Lo = Lo;
@@ -59,30 +59,120 @@ BitExprRef BitExpr::mkSlice(BitExprRef Operand, size_t Lo, size_t Hi) {
 
 BitExprRef BitExpr::mkConcat(BitExprRef L, BitExprRef R) {
   assert(L && R && "concat of null expression");
-  auto E = std::shared_ptr<BitExpr>(new BitExpr());
+  auto E = std::make_shared<BitExpr>(Token{});
   E->K = Kind::Concat;
   E->A = std::move(L);
   E->B = std::move(R);
   return E;
 }
 
-std::string BitExpr::str() const {
+//===----------------------------------------------------------------------===//
+// The printer
+//===----------------------------------------------------------------------===//
+
+void CanonicalNaming::append(std::string &Out, const BitExpr &Var) {
+  size_t I = 0;
+  for (; I < Seen.size(); ++I)
+    if (*Seen[I].first == Var.varName()) {
+      assert(Seen[I].second == Var.varWidth() &&
+             "variable used at two widths");
+      break;
+    }
+  if (I == Seen.size())
+    Seen.emplace_back(&Var.varName(), Var.varWidth());
+  Out += 'v';
+  Out += std::to_string(I);
+  Out += 'w';
+  Out += std::to_string(Seen[I].second);
+}
+
+void BitExpr::appendTo(std::string &Out, CanonicalNaming *Canon) const {
   switch (K) {
   case Kind::Lit:
-    return "0b" + Lit.str();
+    Out += "0b";
+    Lit.appendTo(Out);
+    return;
   case Kind::Buf:
-    return std::string("buf") + sideMark(S);
+    Out += "buf";
+    Out += sideMark(S);
+    return;
   case Kind::Hdr:
-    return "h" + std::to_string(Hdr) + sideMark(S);
+    Out += 'h';
+    Out += std::to_string(Hdr);
+    Out += sideMark(S);
+    return;
   case Kind::Var:
-    return "$" + Name;
+    Out += '$';
+    if (Canon)
+      Canon->append(Out, *this);
+    else
+      Out += Name;
+    return;
   case Kind::Slice:
-    return A->str() + "[" + std::to_string(Lo) + ":" + std::to_string(Hi) +
-           "]";
+    A->appendTo(Out, Canon);
+    Out += '[';
+    Out += std::to_string(Lo);
+    Out += ':';
+    Out += std::to_string(Hi);
+    Out += ']';
+    return;
   case Kind::Concat:
-    return "(" + A->str() + " ++ " + B->str() + ")";
+    Out += '(';
+    A->appendTo(Out, Canon);
+    Out += " ++ ";
+    B->appendTo(Out, Canon);
+    Out += ')';
+    return;
   }
-  return "<bitexpr>";
+}
+
+std::string BitExpr::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
+}
+
+void Pure::appendTo(std::string &Out, CanonicalNaming *Canon) const {
+  const char *Op = nullptr;
+  switch (K) {
+  case Kind::True:
+    Out += "true";
+    return;
+  case Kind::False:
+    Out += "false";
+    return;
+  case Kind::Eq:
+    Out += '(';
+    TL->appendTo(Out, Canon);
+    Out += " = ";
+    TR->appendTo(Out, Canon);
+    Out += ')';
+    return;
+  case Kind::Not:
+    Out += '!';
+    FL->appendTo(Out, Canon);
+    return;
+  case Kind::And:
+    Op = " & ";
+    break;
+  case Kind::Or:
+    Op = " | ";
+    break;
+  case Kind::Implies:
+    Op = " -> ";
+    break;
+  }
+  Out += '(';
+  FL->appendTo(Out, Canon);
+  Out += Op;
+  FR->appendTo(Out, Canon);
+  Out += ')';
+}
+
+std::string Pure::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -91,13 +181,13 @@ std::string BitExpr::str() const {
 //===----------------------------------------------------------------------===//
 
 PureRef Pure::mkTrue() {
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::True;
   return F;
 }
 
 PureRef Pure::mkFalse() {
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::False;
   return F;
 }
@@ -106,7 +196,7 @@ PureRef Pure::mkEq(BitExprRef L, BitExprRef R) {
   assert(L && R && "equality over null expression");
   if (L->kind() == BitExpr::Kind::Lit && R->kind() == BitExpr::Kind::Lit)
     return L->literal() == R->literal() ? mkTrue() : mkFalse();
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::Eq;
   F->TL = std::move(L);
   F->TR = std::move(R);
@@ -121,7 +211,7 @@ PureRef Pure::mkNot(PureRef Sub) {
     return mkTrue();
   if (Sub->kind() == Kind::Not)
     return Sub->sub();
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::Not;
   F->FL = std::move(Sub);
   return F;
@@ -135,7 +225,7 @@ PureRef Pure::mkAnd(PureRef L, PureRef R) {
     return R;
   if (R->kind() == Kind::True)
     return L;
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::And;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -150,7 +240,7 @@ PureRef Pure::mkOr(PureRef L, PureRef R) {
     return R;
   if (R->kind() == Kind::False)
     return L;
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::Or;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -165,7 +255,7 @@ PureRef Pure::mkImplies(PureRef L, PureRef R) {
     return R;
   if (R->kind() == Kind::False)
     return mkNot(std::move(L));
-  auto F = std::shared_ptr<Pure>(new Pure());
+  auto F = std::make_shared<Pure>(Token{});
   F->K = Kind::Implies;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -184,26 +274,6 @@ PureRef Pure::mkOrAll(const std::vector<PureRef> &Fs) {
   for (const PureRef &F : Fs)
     Acc = mkOr(Acc, F);
   return Acc;
-}
-
-std::string Pure::str() const {
-  switch (K) {
-  case Kind::True:
-    return "true";
-  case Kind::False:
-    return "false";
-  case Kind::Eq:
-    return "(" + TL->str() + " = " + TR->str() + ")";
-  case Kind::Not:
-    return "!" + FL->str();
-  case Kind::And:
-    return "(" + FL->str() + " & " + FR->str() + ")";
-  case Kind::Or:
-    return "(" + FL->str() + " | " + FR->str() + ")";
-  case Kind::Implies:
-    return "(" + FL->str() + " -> " + FR->str() + ")";
-  }
-  return "<pure>";
 }
 
 size_t Pure::size() const {
@@ -522,81 +592,4 @@ BitExprRef logic::mkSliceS(const Ctx &C, BitExprRef E, size_t Lo, size_t Hi) {
     break;
   }
   return BitExpr::mkSlice(std::move(E), Lo, Hi);
-}
-
-//===----------------------------------------------------------------------===//
-// α-renaming and canonicalization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-using Renaming = std::vector<std::pair<std::string, std::string>>;
-
-BitExprRef renameExpr(const BitExprRef &E, const Renaming &Map) {
-  switch (E->kind()) {
-  case BitExpr::Kind::Lit:
-  case BitExpr::Kind::Buf:
-  case BitExpr::Kind::Hdr:
-    return E;
-  case BitExpr::Kind::Var: {
-    for (const auto &[From, To] : Map)
-      if (From == E->varName())
-        return BitExpr::mkVar(To, E->varWidth());
-    return E;
-  }
-  case BitExpr::Kind::Slice: {
-    BitExprRef A = renameExpr(E->sliceOperand(), Map);
-    if (A == E->sliceOperand())
-      return E;
-    return BitExpr::mkSlice(std::move(A), E->sliceLo(), E->sliceHi());
-  }
-  case BitExpr::Kind::Concat: {
-    BitExprRef A = renameExpr(E->concatLhs(), Map);
-    BitExprRef B = renameExpr(E->concatRhs(), Map);
-    if (A == E->concatLhs() && B == E->concatRhs())
-      return E;
-    return BitExpr::mkConcat(std::move(A), std::move(B));
-  }
-  }
-  assert(false && "unknown expression kind");
-  return E;
-}
-
-} // namespace
-
-PureRef logic::renameRigidVars(const PureRef &F, const Renaming &Map) {
-  switch (F->kind()) {
-  case Pure::Kind::True:
-  case Pure::Kind::False:
-    return F;
-  case Pure::Kind::Eq:
-    return Pure::mkEq(renameExpr(F->eqLhs(), Map),
-                      renameExpr(F->eqRhs(), Map));
-  case Pure::Kind::Not:
-    return Pure::mkNot(renameRigidVars(F->sub(), Map));
-  case Pure::Kind::And:
-    return Pure::mkAnd(renameRigidVars(F->lhs(), Map),
-                       renameRigidVars(F->rhs(), Map));
-  case Pure::Kind::Or:
-    return Pure::mkOr(renameRigidVars(F->lhs(), Map),
-                      renameRigidVars(F->rhs(), Map));
-  case Pure::Kind::Implies:
-    return Pure::mkImplies(renameRigidVars(F->lhs(), Map),
-                           renameRigidVars(F->rhs(), Map));
-  }
-  assert(false && "unknown formula kind");
-  return F;
-}
-
-GuardedFormula logic::canonicalize(const GuardedFormula &G) {
-  // Canonical names carry the width: conjuncts of one entailment share a
-  // namespace (sound — ∀ distributes over ∧ — and deliberate, so a goal
-  // can be discharged against an α-equivalent premise), so names must
-  // never be reused at a different width.
-  Renaming Map;
-  size_t Counter = 0;
-  for (const auto &[Name, Width] : collectRigidVars(G.Phi))
-    Map.emplace_back(Name, "v" + std::to_string(Counter++) + "w" +
-                               std::to_string(Width));
-  return GuardedFormula{G.TP, renameRigidVars(G.Phi, Map)};
 }

@@ -96,13 +96,44 @@ struct TemplatePairHasher {
 class BitExpr;
 using BitExprRef = std::shared_ptr<const BitExpr>;
 
+/// The canonical-naming mode of the BitExpr/Pure printer: each rigid
+/// variable prints as v<i>w<width>, where i numbers the distinct
+/// variables in order of first occurrence in the printer's left-to-right
+/// walk. Formulas are individually universally closed (Definition 4.3),
+/// so α-equivalent formulas — the WP operator mints fresh variables on
+/// every application — render identically in this mode; that is what
+/// lets the checker's frontier deduplicate them (core/FrontierKey.h).
+/// The width is part of the name because conjuncts of one entailment
+/// share a namespace, so a name must never be reused at another width.
+/// One instance numbers one rendering.
+class CanonicalNaming {
+public:
+  /// Appends the canonical name of rigid variable \p Var to \p Out,
+  /// numbering it if this is its first occurrence.
+  void append(std::string &Out, const BitExpr &Var);
+
+private:
+  /// Names (borrowed from the rendered nodes) with their first widths,
+  /// in first-occurrence order.
+  std::vector<std::pair<const std::string *, size_t>> Seen;
+};
+
 /// A bitvector expression over a configuration pair (the `be` grammar of
 /// Figure 3). Slices use the paper's clamped inclusive semantics, so the
 /// width of an expression depends on the widths of buf< / buf>, i.e. on
 /// the guard template pair; see widthUnder().
 class BitExpr {
+  /// Passkey: only the smart constructors can name it, so they stay the
+  /// only way to create a node, while std::make_shared can still reach
+  /// the constructor and place node and control block in one allocation.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { Lit, Buf, Hdr, Var, Slice, Concat };
+
+  explicit BitExpr(Token) {}
 
   Kind kind() const { return K; }
 
@@ -156,11 +187,12 @@ public:
   static BitExprRef mkSlice(BitExprRef E, size_t Lo, size_t Hi);
   static BitExprRef mkConcat(BitExprRef L, BitExprRef R);
 
+  /// The printer: appends the rendering to \p Out, rigid variables under
+  /// their own names, or canonically named by \p Canon when given.
+  void appendTo(std::string &Out, CanonicalNaming *Canon = nullptr) const;
   std::string str() const;
 
 private:
-  BitExpr() = default;
-
   Kind K = Kind::Lit;
   Bitvector Lit;
   Side S = Side::Left;
@@ -179,8 +211,15 @@ using PureRef = std::shared_ptr<const Pure>;
 /// ∧/∨ from ⇒/⊥; we provide them as first-class constructors with the
 /// same semantics.
 class Pure {
+  /// Passkey, as for BitExpr.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { True, False, Eq, Not, And, Or, Implies };
+
+  explicit Pure(Token) {}
 
   Kind kind() const { return K; }
 
@@ -217,6 +256,9 @@ public:
   static PureRef mkAndAll(const std::vector<PureRef> &Fs);
   static PureRef mkOrAll(const std::vector<PureRef> &Fs);
 
+  /// The printer (see BitExpr::appendTo); str() and the frontier keys of
+  /// core/FrontierKey.h both render through it.
+  void appendTo(std::string &Out, CanonicalNaming *Canon = nullptr) const;
   std::string str() const;
 
   /// Structural size (node count), used to report formula growth in the
@@ -224,8 +266,6 @@ public:
   size_t size() const;
 
 private:
-  Pure() = default;
-
   Kind K = Kind::True;
   BitExprRef TL, TR;
   PureRef FL, FR;
@@ -308,24 +348,8 @@ BitExprRef mkSliceS(const Ctx &C, BitExprRef E, size_t Lo, size_t Hi);
 BitExprRef mkConcatS(const Ctx &C, BitExprRef L, BitExprRef R);
 
 /// Collects the rigid variables of \p F (name → width, first-occurrence
-/// order).
+/// order — the order in which the printer meets them).
 std::vector<std::pair<std::string, size_t>> collectRigidVars(const PureRef &F);
-
-/// Renames every rigid variable per \p Renaming (old name → new name);
-/// names absent from the map are kept.
-PureRef renameRigidVars(
-    const PureRef &F,
-    const std::vector<std::pair<std::string, std::string>> &Renaming);
-
-/// α-canonicalization: renames rigid variables to v0, v1, ... in first-
-/// occurrence order. Formulas are individually universally closed
-/// (Definition 4.3), so this preserves their denotation; it makes
-/// α-equivalent conjuncts syntactically equal, which lets the checker's
-/// frontier deduplicate them and lets the entailment check discharge a
-/// goal against an α-equivalent premise (the WP operator mints fresh
-/// variables on every application, so without canonicalization the
-/// frontier would never converge on relational properties). O(|G.Phi|).
-GuardedFormula canonicalize(const GuardedFormula &G);
 
 } // namespace logic
 } // namespace leapfrog

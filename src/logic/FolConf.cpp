@@ -19,7 +19,7 @@ using namespace leapfrog::logic::folconf;
 
 TermRef Term::mkStoreSelect(Side S, p4a::HeaderId H, size_t Width) {
   assert(Width > 0 && "zero-width header");
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::StoreSelect;
   T->Width = Width;
   T->S = S;
@@ -28,7 +28,7 @@ TermRef Term::mkStoreSelect(Side S, p4a::HeaderId H, size_t Width) {
 }
 
 TermRef Term::mkBufVar(Side S, size_t Width) {
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::BufVar;
   T->Width = Width;
   T->S = S;
@@ -37,7 +37,7 @@ TermRef Term::mkBufVar(Side S, size_t Width) {
 
 TermRef Term::mkRigidVar(std::string Name, size_t Width) {
   assert(Width > 0 && "zero-width rigid variable");
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::RigidVar;
   T->Width = Width;
   T->Name = std::move(Name);
@@ -45,7 +45,7 @@ TermRef Term::mkRigidVar(std::string Name, size_t Width) {
 }
 
 TermRef Term::mkConst(Bitvector Value) {
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::Const;
   T->Width = Value.size();
   T->Value = std::move(Value);
@@ -60,7 +60,7 @@ TermRef Term::mkConcat(TermRef L, TermRef R) {
     return L;
   if (L->kind() == Kind::Const && R->kind() == Kind::Const)
     return mkConst(L->constValue().concat(R->constValue()));
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::Concat;
   T->Width = L->width() + R->width();
   T->L = std::move(L);
@@ -75,7 +75,7 @@ TermRef Term::mkExtract(TermRef Operand, size_t Lo, size_t Hi) {
     return Operand;
   if (Operand->kind() == Kind::Const)
     return mkConst(Operand->constValue().extract(Lo, Hi + 1));
-  auto T = std::shared_ptr<Term>(new Term());
+  auto T = std::make_shared<Term>(Token{});
   T->K = Kind::Extract;
   T->Width = Hi - Lo + 1;
   T->L = std::move(Operand);
@@ -84,24 +84,49 @@ TermRef Term::mkExtract(TermRef Operand, size_t Lo, size_t Hi) {
   return T;
 }
 
-std::string Term::str() const {
+void Term::appendTo(std::string &Out) const {
   switch (K) {
   case Kind::StoreSelect:
-    return std::string("store") + sideMark(S) + "(h" + std::to_string(Hdr) +
-           ")";
+    Out += "store";
+    Out += sideMark(S);
+    Out += "(h";
+    Out += std::to_string(Hdr);
+    Out += ')';
+    return;
   case Kind::BufVar:
-    return std::string("buf") + sideMark(S);
+    Out += "buf";
+    Out += sideMark(S);
+    return;
   case Kind::RigidVar:
-    return "$" + Name;
+    Out += '$';
+    Out += Name;
+    return;
   case Kind::Const:
-    return "#b" + Value.str();
+    Out += "#b";
+    Value.appendTo(Out);
+    return;
   case Kind::Concat:
-    return "(" + L->str() + " ++ " + R->str() + ")";
+    Out += '(';
+    L->appendTo(Out);
+    Out += " ++ ";
+    R->appendTo(Out);
+    Out += ')';
+    return;
   case Kind::Extract:
-    return L->str() + "[" + std::to_string(Lo) + ":" + std::to_string(Hi) +
-           "]";
+    L->appendTo(Out);
+    Out += '[';
+    Out += std::to_string(Lo);
+    Out += ':';
+    Out += std::to_string(Hi);
+    Out += ']';
+    return;
   }
-  return "<term>";
+}
+
+std::string Term::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -109,13 +134,13 @@ std::string Term::str() const {
 //===----------------------------------------------------------------------===//
 
 FormulaRef Formula::mkTrue() {
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::True;
   return F;
 }
 
 FormulaRef Formula::mkFalse() {
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::False;
   return F;
 }
@@ -127,7 +152,7 @@ FormulaRef Formula::mkEq(TermRef L, TermRef R) {
     return mkTrue();
   if (L->kind() == Term::Kind::Const && R->kind() == Term::Kind::Const)
     return L->constValue() == R->constValue() ? mkTrue() : mkFalse();
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::Eq;
   F->TL = std::move(L);
   F->TR = std::move(R);
@@ -142,7 +167,7 @@ FormulaRef Formula::mkNot(FormulaRef Sub) {
     return mkTrue();
   if (Sub->kind() == Kind::Not)
     return Sub->sub();
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::Not;
   F->FL = std::move(Sub);
   return F;
@@ -156,7 +181,7 @@ FormulaRef Formula::mkAnd(FormulaRef L, FormulaRef R) {
     return R;
   if (R->kind() == Kind::True)
     return L;
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::And;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -171,7 +196,7 @@ FormulaRef Formula::mkOr(FormulaRef L, FormulaRef R) {
     return R;
   if (R->kind() == Kind::False)
     return L;
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::Or;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -186,31 +211,54 @@ FormulaRef Formula::mkImplies(FormulaRef L, FormulaRef R) {
     return R;
   if (R->kind() == Kind::False)
     return mkNot(std::move(L));
-  auto F = std::shared_ptr<Formula>(new Formula());
+  auto F = std::make_shared<Formula>(Token{});
   F->K = Kind::Implies;
   F->FL = std::move(L);
   F->FR = std::move(R);
   return F;
 }
 
-std::string Formula::str() const {
+void Formula::appendTo(std::string &Out) const {
+  const char *Op = nullptr;
   switch (K) {
   case Kind::True:
-    return "true";
+    Out += "true";
+    return;
   case Kind::False:
-    return "false";
+    Out += "false";
+    return;
   case Kind::Eq:
-    return "(" + TL->str() + " = " + TR->str() + ")";
+    Out += '(';
+    TL->appendTo(Out);
+    Out += " = ";
+    TR->appendTo(Out);
+    Out += ')';
+    return;
   case Kind::Not:
-    return "!" + FL->str();
+    Out += '!';
+    FL->appendTo(Out);
+    return;
   case Kind::And:
-    return "(" + FL->str() + " & " + FR->str() + ")";
+    Op = " & ";
+    break;
   case Kind::Or:
-    return "(" + FL->str() + " | " + FR->str() + ")";
+    Op = " | ";
+    break;
   case Kind::Implies:
-    return "(" + FL->str() + " -> " + FR->str() + ")";
+    Op = " -> ";
+    break;
   }
-  return "<formula>";
+  Out += '(';
+  FL->appendTo(Out);
+  Out += Op;
+  FR->appendTo(Out);
+  Out += ')';
+}
+
+std::string Formula::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -39,8 +39,17 @@ using TermRef = std::shared_ptr<const Term>;
 
 /// A FOL(Conf) term with static width.
 class Term {
+  /// Passkey: only the smart constructors can name it, so they stay the
+  /// only way to create a node, while std::make_shared can still reach
+  /// the constructor and place node and control block in one allocation.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { StoreSelect, BufVar, RigidVar, Const, Concat, Extract };
+
+  explicit Term(Token) {}
 
   Kind kind() const { return K; }
   size_t width() const { return Width; }
@@ -93,11 +102,11 @@ public:
   /// FOL(Conf), unlike ConfRel's clamped slices).
   static TermRef mkExtract(TermRef Operand, size_t Lo, size_t Hi);
 
+  /// The printer: appends the rendering to \p Out; str() wraps it.
+  void appendTo(std::string &Out) const;
   std::string str() const;
 
 private:
-  Term() = default;
-
   Kind K = Kind::Const;
   size_t Width = 0;
   Side S = Side::Left;
@@ -113,8 +122,15 @@ using FormulaRef = std::shared_ptr<const Formula>;
 
 /// A FOL(Conf) formula: boolean structure over term equalities.
 class Formula {
+  /// Passkey, as for Term.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { True, False, Eq, Not, And, Or, Implies };
+
+  explicit Formula(Token) {}
 
   Kind kind() const { return K; }
 
@@ -149,11 +165,11 @@ public:
   static FormulaRef mkOr(FormulaRef L, FormulaRef R);
   static FormulaRef mkImplies(FormulaRef L, FormulaRef R);
 
+  /// The printer: appends the rendering to \p Out; str() wraps it.
+  void appendTo(std::string &Out) const;
   std::string str() const;
 
 private:
-  Formula() = default;
-
   Kind K = Kind::True;
   TermRef TL, TR;
   FormulaRef FL, FR;

@@ -18,7 +18,7 @@ using namespace leapfrog::smt;
 
 BvTermRef BvTerm::mkVar(std::string Name, size_t Width) {
   assert(Width > 0 && "zero-width variable");
-  auto T = std::shared_ptr<BvTerm>(new BvTerm());
+  auto T = std::make_shared<BvTerm>(Token{});
   T->K = Kind::Var;
   T->Width = Width;
   T->Name = std::move(Name);
@@ -26,7 +26,7 @@ BvTermRef BvTerm::mkVar(std::string Name, size_t Width) {
 }
 
 BvTermRef BvTerm::mkConst(Bitvector Value) {
-  auto T = std::shared_ptr<BvTerm>(new BvTerm());
+  auto T = std::make_shared<BvTerm>(Token{});
   T->K = Kind::Const;
   T->Width = Value.size();
   T->Value = std::move(Value);
@@ -43,7 +43,7 @@ BvTermRef BvTerm::mkConcat(BvTermRef Lhs, BvTermRef Rhs) {
   // Constant folding (paper §6.2: smart constructors keep WP output small).
   if (Lhs->kind() == Kind::Const && Rhs->kind() == Kind::Const)
     return mkConst(Lhs->constValue().concat(Rhs->constValue()));
-  auto T = std::shared_ptr<BvTerm>(new BvTerm());
+  auto T = std::make_shared<BvTerm>(Token{});
   T->K = Kind::Concat;
   T->Width = Lhs->width() + Rhs->width();
   T->L = std::move(Lhs);
@@ -76,7 +76,7 @@ BvTermRef BvTerm::mkExtract(BvTermRef Operand, size_t Lo, size_t Hi) {
   case Kind::Var:
     break;
   }
-  auto T = std::shared_ptr<BvTerm>(new BvTerm());
+  auto T = std::make_shared<BvTerm>(Token{});
   T->K = Kind::Extract;
   T->Width = Hi - Lo + 1;
   T->L = std::move(Operand);
@@ -85,19 +85,37 @@ BvTermRef BvTerm::mkExtract(BvTermRef Operand, size_t Lo, size_t Hi) {
   return T;
 }
 
-std::string BvTerm::str() const {
+void BvTerm::appendTo(std::string &Out) const {
   switch (K) {
   case Kind::Var:
-    return Name;
+    Out += Name;
+    return;
   case Kind::Const:
-    return "#b" + Value.str();
+    Out += "#b";
+    Value.appendTo(Out);
+    return;
   case Kind::Concat:
-    return "(" + L->str() + " ++ " + R->str() + ")";
+    Out += '(';
+    L->appendTo(Out);
+    Out += " ++ ";
+    R->appendTo(Out);
+    Out += ')';
+    return;
   case Kind::Extract:
-    return L->str() + "[" + std::to_string(Lo) + ":" + std::to_string(Hi) +
-           "]";
+    L->appendTo(Out);
+    Out += '[';
+    Out += std::to_string(Lo);
+    Out += ':';
+    Out += std::to_string(Hi);
+    Out += ']';
+    return;
   }
-  return "<term>";
+}
+
+std::string BvTerm::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -105,13 +123,13 @@ std::string BvTerm::str() const {
 //===----------------------------------------------------------------------===//
 
 BvFormulaRef BvFormula::mkTrue() {
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::True;
   return F;
 }
 
 BvFormulaRef BvFormula::mkFalse() {
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::False;
   return F;
 }
@@ -124,7 +142,7 @@ BvFormulaRef BvFormula::mkEq(BvTermRef Lhs, BvTermRef Rhs) {
   if (Lhs->kind() == BvTerm::Kind::Const &&
       Rhs->kind() == BvTerm::Kind::Const)
     return Lhs->constValue() == Rhs->constValue() ? mkTrue() : mkFalse();
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::Eq;
   F->TL = std::move(Lhs);
   F->TR = std::move(Rhs);
@@ -139,7 +157,7 @@ BvFormulaRef BvFormula::mkNot(BvFormulaRef Sub) {
     return mkTrue();
   if (Sub->kind() == Kind::Not)
     return Sub->sub();
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::Not;
   F->FL = std::move(Sub);
   return F;
@@ -153,7 +171,7 @@ BvFormulaRef BvFormula::mkAnd(BvFormulaRef L, BvFormulaRef R) {
     return R;
   if (R->kind() == Kind::True)
     return L;
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::And;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -168,7 +186,7 @@ BvFormulaRef BvFormula::mkOr(BvFormulaRef L, BvFormulaRef R) {
     return R;
   if (R->kind() == Kind::False)
     return L;
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::Or;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -183,7 +201,7 @@ BvFormulaRef BvFormula::mkImplies(BvFormulaRef L, BvFormulaRef R) {
     return R;
   if (R->kind() == Kind::False)
     return mkNot(std::move(L));
-  auto F = std::shared_ptr<BvFormula>(new BvFormula());
+  auto F = std::make_shared<BvFormula>(Token{});
   F->K = Kind::Implies;
   F->FL = std::move(L);
   F->FR = std::move(R);
@@ -204,24 +222,47 @@ BvFormulaRef BvFormula::mkOrAll(const std::vector<BvFormulaRef> &Fs) {
   return Acc;
 }
 
-std::string BvFormula::str() const {
+void BvFormula::appendTo(std::string &Out) const {
+  const char *Op = nullptr;
   switch (K) {
   case Kind::True:
-    return "true";
+    Out += "true";
+    return;
   case Kind::False:
-    return "false";
+    Out += "false";
+    return;
   case Kind::Eq:
-    return "(" + TL->str() + " = " + TR->str() + ")";
+    Out += '(';
+    TL->appendTo(Out);
+    Out += " = ";
+    TR->appendTo(Out);
+    Out += ')';
+    return;
   case Kind::Not:
-    return "!" + FL->str();
+    Out += '!';
+    FL->appendTo(Out);
+    return;
   case Kind::And:
-    return "(" + FL->str() + " & " + FR->str() + ")";
+    Op = " & ";
+    break;
   case Kind::Or:
-    return "(" + FL->str() + " | " + FR->str() + ")";
+    Op = " | ";
+    break;
   case Kind::Implies:
-    return "(" + FL->str() + " -> " + FR->str() + ")";
+    Op = " -> ";
+    break;
   }
-  return "<formula>";
+  Out += '(';
+  FL->appendTo(Out);
+  Out += Op;
+  FR->appendTo(Out);
+  Out += ')';
+}
+
+std::string BvFormula::str() const {
+  std::string Out;
+  appendTo(Out);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,8 +37,17 @@ using BvTermRef = std::shared_ptr<const BvTerm>;
 
 /// A fixed-width bitvector term.
 class BvTerm {
+  /// Passkey: only the smart constructors can name it, so they stay the
+  /// only way to create a node, while std::make_shared can still reach
+  /// the constructor and place node and control block in one allocation.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { Var, Const, Concat, Extract };
+
+  explicit BvTerm(Token) {}
 
   Kind kind() const { return K; }
   size_t width() const { return Width; }
@@ -84,12 +93,12 @@ public:
   /// extraction through concatenation.
   static BvTermRef mkExtract(BvTermRef Operand, size_t Lo, size_t Hi);
 
-  /// Renders the term for diagnostics ("x[3:7]", "(a ++ b)", "#b0101").
+  /// The printer: appends the rendering ("x[3:7]", "(a ++ b)", "#b0101")
+  /// to \p Out; str() wraps it.
+  void appendTo(std::string &Out) const;
   std::string str() const;
 
 private:
-  BvTerm() = default;
-
   Kind K = Kind::Const;
   size_t Width = 0;
   std::string Name;
@@ -103,8 +112,15 @@ using BvFormulaRef = std::shared_ptr<const BvFormula>;
 
 /// A quantifier-free formula over bitvector equalities.
 class BvFormula {
+  /// Passkey, as for BvTerm.
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { True, False, Eq, Not, And, Or, Implies };
+
+  explicit BvFormula(Token) {}
 
   Kind kind() const { return K; }
 
@@ -144,11 +160,12 @@ public:
   static BvFormulaRef mkAndAll(const std::vector<BvFormulaRef> &Fs);
   static BvFormulaRef mkOrAll(const std::vector<BvFormulaRef> &Fs);
 
+  /// The printer: appends the rendering to \p Out; str() wraps it. The
+  /// solvers' premise dedup keys are this rendering.
+  void appendTo(std::string &Out) const;
   std::string str() const;
 
 private:
-  BvFormula() = default;
-
   Kind K = Kind::True;
   BvTermRef TL, TR;
   BvFormulaRef FL, FR;

@@ -252,6 +252,12 @@ public:
   const Stats &stats() const { return S; }
 
 private:
+  /// White-box access for tests/SatTest.cpp: plants learnt clauses with
+  /// chosen LBD and activity and runs reduceDB() on them, to pin its
+  /// locked-reason and tie-break paths, which no test-sized search
+  /// reaches (an activity tie takes three rescales, ~138k conflicts).
+  friend class SatSolverTestAccess;
+
   /// Offset of a clause's header in Arena.
   using ClauseRef = uint32_t;
   static constexpr ClauseRef NoReason = ~ClauseRef(0);

@@ -89,9 +89,13 @@ uint64_t Bitvector::toUint() const {
 std::string Bitvector::str() const {
   std::string S;
   S.reserve(Width);
-  for (size_t I = 0; I < Width; ++I)
-    S.push_back(bit(I) ? '1' : '0');
+  appendTo(S);
   return S;
+}
+
+void Bitvector::appendTo(std::string &Out) const {
+  for (size_t I = 0; I < Width; ++I)
+    Out.push_back(bit(I) ? '1' : '0');
 }
 
 size_t Bitvector::hash() const {

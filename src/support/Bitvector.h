@@ -101,6 +101,9 @@ public:
   /// Renders as a '0'/'1' string, first bit leftmost.
   std::string str() const;
 
+  /// Appends the rendering of str() to \p Out.
+  void appendTo(std::string &Out) const;
+
   /// Stable hash of contents (for hashing-based containers and memo tables).
   size_t hash() const;
 

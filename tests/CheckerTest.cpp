@@ -17,6 +17,7 @@
 
 #include "core/Checker.h"
 
+#include "core/FrontierKey.h"
 #include "frontend/Elaborate.h"
 #include "frontend/Text.h"
 #include "obs/Metrics.h"
@@ -24,12 +25,15 @@
 #include "p4a/Parser.h"
 #include "p4a/Typing.h"
 #include "parsers/CaseStudies.h"
+#include "pgen/TranslationValidation.h"
 
 #include "FuzzSupport.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -702,6 +706,134 @@ TEST(CheckerLowering, EachConjunctIsLoweredOnce) {
       logic::BitExpr::mkHdr(logic::Side::Left, *A.findHeader("h")),
       logic::BitExpr::mkHdr(logic::Side::Right, *A.findHeader("h")));
   EXPECT_GT(Expect("store premise", A, A, Spec), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned search shape
+//===----------------------------------------------------------------------===//
+
+/// The shape of one run's search: its decision counters and an FNV-1a
+/// digest of R's formulaKey sequence in extension order. The digest is a
+/// test pin, not a dedup key.
+struct SearchPin {
+  size_t Iterations, Extends, Skips, SmtQueries, PeakFrontier,
+      FinalConjuncts, RNodes;
+  uint64_t RDigest;
+
+  bool operator==(const SearchPin &O) const {
+    return Iterations == O.Iterations && Extends == O.Extends &&
+           Skips == O.Skips && SmtQueries == O.SmtQueries &&
+           PeakFrontier == O.PeakFrontier &&
+           FinalConjuncts == O.FinalConjuncts && RNodes == O.RNodes &&
+           RDigest == O.RDigest;
+  }
+
+  /// Rendered as the initializer of a golden row, so a deliberate change
+  /// of search is re-pinned by pasting the printed rows.
+  std::string str() const {
+    char Buf[256];
+    std::snprintf(Buf, sizeof Buf,
+                  "{%zu, %zu, %zu, %zu, %zu, %zu, %zu, 0x%016" PRIx64 "ull}",
+                  Iterations, Extends, Skips, SmtQueries, PeakFrontier,
+                  FinalConjuncts, RNodes, RDigest);
+    return Buf;
+  }
+};
+
+SearchPin pinSearch(const p4a::Automaton &L, const std::string &QL,
+                    const p4a::Automaton &R, const std::string &QR,
+                    size_t MaxIterations, Verdict &V) {
+  smt::BitBlastSolver Solver;
+  CheckOptions O;
+  O.Solver = &Solver;
+  O.MaxIterations = MaxIterations;
+  O.RecordTrace = true;
+  CheckResult Res = checkLanguageEquivalence(L, QL, R, QR, O);
+  V = Res.V;
+  SearchPin Pin{Res.Stats.Iterations,   Res.Stats.Extends,
+                Res.Stats.Skips,        Res.Stats.SmtQueries,
+                Res.Stats.PeakFrontier, Res.Stats.FinalConjuncts,
+                0,                      14695981039346656037ull};
+  // R is the trace's extended conjuncts, in order, on every verdict path.
+  for (const TraceStep &Step : Res.Trace) {
+    if (Step.K != TraceStep::Kind::Extend)
+      continue;
+    Pin.RNodes += Step.Psi.Phi->size();
+    for (char C : detail::formulaKey(Step.Psi) + "\n") {
+      Pin.RDigest ^= uint8_t(C);
+      Pin.RDigest *= 1099511628211ull;
+    }
+  }
+  if (Res.equivalent()) {
+    EXPECT_EQ(Res.Stats.FormulaNodes, Pin.RNodes);
+  }
+  return Pin;
+}
+
+/// Golden search shapes, recorded from the checker before frontier keys
+/// became one-pass renderings. Every other decision-count test compares
+/// two configurations of the same tree, so a dedup change that hits both
+/// sides (a key that drops the guard, or merges two α-distinct
+/// conjuncts) goes unseen there; here it changes the counters or R.
+/// Columns: iterations, extends, skips, SMT queries, peak frontier, final
+/// conjuncts, Σ|ψ| over R, R digest.
+TEST(CheckerPinned, SearchShapeMatchesGolden) {
+  const char *Env = std::getenv("LEAPFROG_CORPUS_DIR");
+  if (!Env || !*Env)
+    GTEST_SKIP() << "LEAPFROG_CORPUS_DIR not set (run under ctest)";
+  struct Golden {
+    const char *Left, *Right;
+    Verdict V;
+    SearchPin Pin;
+  };
+  const Golden Corpus[] = {
+      {"ipv6_chain", "ipv6_chain_opt", Verdict::Equivalent,
+       {67, 27, 40, 67, 35, 27, 57, 0xb497e2e07f3d7484ull}},
+      {"ipv6_chain", "ipv6_chain_bug", Verdict::NotEquivalent,
+       {44, 23, 21, 45, 32, 23, 58, 0x443cb133b0845f1bull}},
+      {"vlan_qinq", "vlan_qinq_opt", Verdict::Equivalent,
+       {21, 15, 6, 21, 8, 15, 17, 0xf91c4208a8e04032ull}},
+      {"vlan_qinq", "vlan_qinq_bug", Verdict::NotEquivalent,
+       {30, 22, 8, 31, 10, 22, 30, 0x982e5ecb6c5256b8ull}},
+      {"tunnel", "tunnel_opt", Verdict::Equivalent,
+       {50, 26, 24, 50, 18, 26, 58, 0x98eb53115be0c07aull}},
+      {"tunnel", "tunnel_bug", Verdict::NotEquivalent,
+       {38, 22, 16, 39, 15, 22, 46, 0xf30041cbe63aa005ull}},
+      {"quic_varint", "quic_varint_opt", Verdict::Equivalent,
+       {16, 10, 6, 16, 6, 10, 10, 0x246052346ccc555dull}},
+      {"quic_varint", "quic_varint_bug", Verdict::NotEquivalent,
+       {9, 9, 0, 10, 6, 9, 8, 0x466309d061ce24b5ull}},
+      {"tlv_fanin", "tlv_fanin_opt", Verdict::Equivalent,
+       {198, 72, 126, 198, 61, 72, 1551, 0xcec50090de2dff2aull}},
+      {"tlv_fanin", "tlv_fanin_bug", Verdict::NotEquivalent,
+       {73, 41, 32, 74, 49, 41, 126, 0x3411ac58e01599a4ull}},
+      {"service_provider_left", "service_provider_right", Verdict::Equivalent,
+       {2320, 1724, 596, 2320, 428, 1724, 18496, 0x3d7f0fae0a9e2564ull}},
+  };
+  for (const Golden &G : Corpus) {
+    frontend::ElaborationResult L =
+        loadLfp(std::string(Env) + "/" + G.Left + ".lfp");
+    frontend::ElaborationResult R =
+        loadLfp(std::string(Env) + "/" + G.Right + ".lfp");
+    ASSERT_TRUE(L.ok() && R.ok()) << G.Right;
+    Verdict V;
+    SearchPin Pin = pinSearch(L.Aut, L.Entry, R.Aut, R.Entry, 1u << 16, V);
+    EXPECT_EQ(V, G.V) << G.Right;
+    EXPECT_TRUE(Pin == G.Pin) << "{\"" << G.Left << "\", \"" << G.Right
+                              << "\", ..., " << Pin.str() << "}";
+  }
+
+  // Translation Validation, to the 1000-iteration budget the benchmark's
+  // tv-prefix workload runs.
+  pgen::TranslationValidation TV = pgen::buildEdgeTranslationValidation();
+  ASSERT_TRUE(TV.ok());
+  Verdict V;
+  SearchPin Pin = pinSearch(TV.Original, TV.OriginalStart, TV.Reconstructed,
+                            TV.ReconstructedStart, 1000, V);
+  EXPECT_EQ(V, Verdict::ResourceLimit);
+  const SearchPin TvGolden = {1000, 889, 111, 1000,
+                              1801, 889, 47542, 0x791050dd2e57fad6ull};
+  EXPECT_TRUE(Pin == TvGolden) << "translation validation: " << Pin.str();
 }
 
 } // namespace

@@ -8,8 +8,9 @@
 /// \file
 /// Tests the configuration-relation logic (Figure 3 / Definition 4.3) and
 /// the full Figure 6 lowering chain: context-dependent widths, concrete
-/// evaluation, substitution, α-renaming, the ctx-aware smart
-/// constructors, template filtering, FOL(Conf) compilation, and store
+/// evaluation, substitution, the frontier keys (the printer in its
+/// canonical-naming mode, fuzzed against a rename-then-print reference),
+/// the ctx-aware smart constructors, template filtering, FOL(Conf) compilation, and store
 /// elimination. Lowering correctness is also checked by a randomized
 /// round trip: a pure formula's concrete truth value on random
 /// configuration pairs must equal its lowered FOL(BV) evaluation under
@@ -19,8 +20,12 @@
 
 #include "logic/Lower.h"
 
+#include "core/FrontierKey.h"
 #include "p4a/Parser.h"
 
+#include "FuzzSupport.h"
+
+#include <algorithm>
 #include <functional>
 #include <gtest/gtest.h>
 
@@ -163,32 +168,43 @@ TEST_F(ConfRelFixture, SubstitutionLeavesRigidVarsAlone) {
 }
 
 //===----------------------------------------------------------------------===//
-// α-renaming / canonicalization
+// Frontier keys: the printer in canonical-naming mode
 //===----------------------------------------------------------------------===//
 
-TEST_F(ConfRelFixture, CanonicalizeIsAlphaInvariant) {
+TEST_F(ConfRelFixture, FrontierKeyIsAlphaInvariant) {
   auto Mk = [&](const std::string &N1, const std::string &N2) {
     return GuardedFormula{
         TP, Pure::mkAnd(Pure::mkEq(BitExpr::mkVar(N1, 2),
                                    BitExpr::mkBuf(Side::Left)),
-                        Pure::mkEq(BitExpr::mkVar(N2, 3),
-                                   BitExpr::mkHdr(Side::Right, 0)))};
+                        Pure::mkEq(BitExpr::mkVar(N2, 2),
+                                   BitExpr::mkSlice(
+                                       BitExpr::mkHdr(Side::Right, 0), 0,
+                                       1)))};
   };
+  using core::detail::frontierKey;
   GuardedFormula A = Mk("x7", "x9");
-  GuardedFormula B = Mk("y1", "zz");
-  EXPECT_EQ(canonicalize(A).Phi->str(), canonicalize(B).Phi->str());
-  // Different structure ⇒ different canonical form.
-  GuardedFormula C2 = Mk("x9", "x7");
-  EXPECT_EQ(canonicalize(A).Phi->str(), canonicalize(C2).Phi->str())
-      << "canonicalization is positional, names do not matter";
+  EXPECT_EQ(frontierKey(A), frontierKey(Mk("y1", "zz")));
+  // Canonical names are positional, so swapping the two names is an
+  // α-renaming too.
+  EXPECT_EQ(frontierKey(A), frontierKey(Mk("x9", "x7")));
+  // Different structure ⇒ different key: one variable used twice is not
+  // two variables.
+  EXPECT_NE(frontierKey(A), frontierKey(Mk("x7", "x7")));
+  // The guard is part of the key.
+  GuardedFormula Moved = A;
+  Moved.TP.R.N = 1;
+  EXPECT_NE(frontierKey(A), frontierKey(Moved));
 }
 
-TEST_F(ConfRelFixture, CanonicalNamesEncodeWidths) {
-  GuardedFormula G{TP, Pure::mkEq(BitExpr::mkVar("a", 2),
-                                  BitExpr::mkBuf(Side::Left))};
-  auto Vars = collectRigidVars(canonicalize(G).Phi);
-  ASSERT_EQ(Vars.size(), 1u);
-  EXPECT_EQ(Vars[0].first, "v0w2");
+TEST_F(ConfRelFixture, FrontierKeyNamesEncodeWidths) {
+  auto Mk = [&](const std::string &Name, size_t Width) {
+    return GuardedFormula{TP, Pure::mkEq(BitExpr::mkVar(Name, Width),
+                                         BitExpr::mkBuf(Side::Left))};
+  };
+  EXPECT_EQ(core::detail::frontierKey(Mk("a", 2)),
+            core::detail::formulaKey(Mk("v0w2", 2)));
+  EXPECT_EQ(core::detail::frontierKey(Mk("a", 3)),
+            core::detail::formulaKey(Mk("v0w3", 3)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -375,5 +391,226 @@ TEST_P(LoweringRoundTrip, ConcreteEvalMatchesLoweredEval) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, LoweringRoundTrip, ::testing::Range(0, 80));
+
+//===----------------------------------------------------------------------===//
+// Frontier-key fuzz: one-pass key vs rename-then-print reference
+//===----------------------------------------------------------------------===//
+
+using Renaming = std::vector<std::pair<std::string, std::string>>;
+
+/// Reference renaming for the fuzz below: rebuilds ψ through the smart
+/// constructors with every rigid variable renamed per \p Map.
+BitExprRef renameExprRef(const BitExprRef &E, const Renaming &Map) {
+  switch (E->kind()) {
+  case BitExpr::Kind::Lit:
+  case BitExpr::Kind::Buf:
+  case BitExpr::Kind::Hdr:
+    return E;
+  case BitExpr::Kind::Var:
+    for (const auto &[From, To] : Map)
+      if (From == E->varName())
+        return BitExpr::mkVar(To, E->varWidth());
+    return E;
+  case BitExpr::Kind::Slice:
+    return BitExpr::mkSlice(renameExprRef(E->sliceOperand(), Map),
+                            E->sliceLo(), E->sliceHi());
+  case BitExpr::Kind::Concat:
+    return BitExpr::mkConcat(renameExprRef(E->concatLhs(), Map),
+                             renameExprRef(E->concatRhs(), Map));
+  }
+  return E;
+}
+
+PureRef renamePureRef(const PureRef &F, const Renaming &Map) {
+  switch (F->kind()) {
+  case Pure::Kind::True:
+  case Pure::Kind::False:
+    return F;
+  case Pure::Kind::Eq:
+    return Pure::mkEq(renameExprRef(F->eqLhs(), Map),
+                      renameExprRef(F->eqRhs(), Map));
+  case Pure::Kind::Not:
+    return Pure::mkNot(renamePureRef(F->sub(), Map));
+  case Pure::Kind::And:
+    return Pure::mkAnd(renamePureRef(F->lhs(), Map),
+                       renamePureRef(F->rhs(), Map));
+  case Pure::Kind::Or:
+    return Pure::mkOr(renamePureRef(F->lhs(), Map),
+                      renamePureRef(F->rhs(), Map));
+  case Pure::Kind::Implies:
+    return Pure::mkImplies(renamePureRef(F->lhs(), Map),
+                           renamePureRef(F->rhs(), Map));
+  }
+  return F;
+}
+
+/// The frontier key as it was first defined, in three passes: collect
+/// the rigid variables, rename them v<i>w<width> in first-occurrence
+/// order, render the renamed copy.
+std::string referenceFrontierKey(const GuardedFormula &G) {
+  Renaming Map;
+  for (const auto &[Name, Width] : collectRigidVars(G.Phi))
+    Map.emplace_back(Name, "v" + std::to_string(Map.size()) + "w" +
+                               std::to_string(Width));
+  return core::detail::formulaKey(
+      GuardedFormula{G.TP, renamePureRef(G.Phi, Map)});
+}
+
+/// Random guarded formulas for the key fuzz: ≥ 12 distinct rigid
+/// variables (so canonical indices reach two digits) of widths 1–64,
+/// repeated variables, shared subtrees, empty and long literals, slices,
+/// concats and every connective, under a random guard.
+struct KeyFuzzGen {
+  Rng R;
+  std::vector<std::pair<std::string, size_t>> Vars;
+  std::vector<BitExprRef> SharedExprs;
+  std::vector<PureRef> SharedPures;
+
+  explicit KeyFuzzGen(uint64_t Seed) : R(Seed) {
+    size_t N = 12 + R.below(8);
+    for (size_t I = 0; I < N; ++I) {
+      // Some names look like canonical names, so a key that mixed
+      // original and canonical names would collide.
+      std::string Name = R.below(3) == 0
+                             ? "v" + std::to_string(R.below(20)) + "w" +
+                                   std::to_string(1 + R.below(64))
+                             : "x" + std::to_string(I);
+      if (std::any_of(Vars.begin(), Vars.end(),
+                      [&](const auto &V) { return V.first == Name; }))
+        Name = "y" + std::to_string(I);
+      Vars.emplace_back(Name, 1 + R.below(64));
+    }
+  }
+
+  BitExprRef var() {
+    const auto &[Name, Width] = Vars[R.below(Vars.size())];
+    return BitExpr::mkVar(Name, Width);
+  }
+
+  BitExprRef expr(int Depth) {
+    if (!SharedExprs.empty() && R.below(6) == 0)
+      return SharedExprs[R.below(SharedExprs.size())];
+    BitExprRef E;
+    switch (Depth == 0 ? R.below(4) : R.below(6)) {
+    case 0: {
+      // Empty, short and long (multi-word) literals.
+      size_t W = R.below(4) == 0 ? 0 : R.below(3) == 0 ? 65 + R.below(80)
+                                                       : 1 + R.below(16);
+      std::string Bits;
+      for (size_t I = 0; I < W; ++I)
+        Bits.push_back(R.below(2) ? '1' : '0');
+      E = BitExpr::mkLit(Bitvector::fromString(Bits));
+      break;
+    }
+    case 1:
+      E = BitExpr::mkBuf(R.below(2) ? Side::Left : Side::Right);
+      break;
+    case 2:
+      E = BitExpr::mkHdr(R.below(2) ? Side::Left : Side::Right,
+                         p4a::HeaderId(R.below(12)));
+      break;
+    case 3:
+      E = var();
+      break;
+    case 4:
+      E = BitExpr::mkConcat(expr(Depth - 1), expr(Depth - 1));
+      break;
+    default:
+      E = BitExpr::mkSlice(expr(Depth - 1), R.below(70), R.below(140));
+      break;
+    }
+    SharedExprs.push_back(E);
+    return E;
+  }
+
+  PureRef pure(int Depth) {
+    if (!SharedPures.empty() && R.below(6) == 0)
+      return SharedPures[R.below(SharedPures.size())];
+    PureRef F;
+    switch (Depth == 0 ? R.below(3) : R.below(7)) {
+    case 0:
+      F = R.below(8) == 0 ? Pure::mkTrue() : Pure::mkEq(expr(3), expr(3));
+      break;
+    case 1:
+      F = R.below(8) == 0 ? Pure::mkFalse() : Pure::mkEq(var(), expr(2));
+      break;
+    case 2:
+      F = Pure::mkEq(expr(2), var());
+      break;
+    case 3:
+      F = Pure::mkNot(pure(Depth - 1));
+      break;
+    case 4:
+      F = Pure::mkAnd(pure(Depth - 1), pure(Depth - 1));
+      break;
+    case 5:
+      F = Pure::mkOr(pure(Depth - 1), pure(Depth - 1));
+      break;
+    default:
+      F = Pure::mkImplies(pure(Depth - 1), pure(Depth - 1));
+      break;
+    }
+    SharedPures.push_back(F);
+    return F;
+  }
+
+  Template templ() {
+    size_t K = R.below(4);
+    return Template{K == 0   ? p4a::StateRef::accept()
+                    : K == 1 ? p4a::StateRef::reject()
+                             : p4a::StateRef::normal(R.below(30)),
+                    R.below(200)};
+  }
+
+  GuardedFormula formula() {
+    // Every variable occurs at least once, in a random order, between
+    // two random subformulas.
+    std::vector<size_t> Order(Vars.size());
+    for (size_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[R.below(I)]);
+    PureRef All = nonConstant(pure(4));
+    for (size_t I : Order)
+      All = Pure::mkAnd(
+          All, Pure::mkEq(BitExpr::mkVar(Vars[I].first, Vars[I].second),
+                          expr(1)));
+    return GuardedFormula{TemplatePair{templ(), templ()},
+                          Pure::mkAnd(All, nonConstant(pure(4)))};
+  }
+
+  /// A constant conjunct would fold the whole formula away.
+  PureRef nonConstant(PureRef F) {
+    if (F->kind() == Pure::Kind::True || F->kind() == Pure::Kind::False)
+      return Pure::mkEq(var(), expr(1));
+    return F;
+  }
+};
+
+TEST(FrontierKeyFuzz, OnePassKeyMatchesRenameThenPrint) {
+  int Iters = leapfrog::testing::fuzzIters(300);
+  leapfrog::testing::reportFuzzConfig("FrontierKeyFuzz", Iters, 1);
+  size_t TwoDigit = 0;
+  for (int Seed = 1; Seed <= Iters; ++Seed) {
+    KeyFuzzGen Gen{uint64_t(Seed)};
+    GuardedFormula G = Gen.formula();
+    std::string Key = core::detail::frontierKey(G);
+    ASSERT_EQ(Key, referenceFrontierKey(G)) << "seed " << Seed;
+    if (Key.find("$v11w") != std::string::npos)
+      ++TwoDigit;
+
+    // Invariant under a random injective renaming of the variables.
+    Renaming Map;
+    for (size_t I = 0; I < Gen.Vars.size(); ++I)
+      Map.emplace_back(Gen.Vars[I].first,
+                       "r" + std::to_string(Gen.R.below(1000)) + "_" +
+                           std::to_string(I));
+    GuardedFormula Renamed{G.TP, renamePureRef(G.Phi, Map)};
+    ASSERT_NE(core::detail::formulaKey(Renamed), core::detail::formulaKey(G))
+        << "seed " << Seed;
+    ASSERT_EQ(core::detail::frontierKey(Renamed), Key) << "seed " << Seed;
+  }
+  EXPECT_EQ(TwoDigit, size_t(Iters)) << "canonical indices reach 11";
+}
 
 } // namespace

@@ -290,6 +290,17 @@ void expectReleaseSpans(const serve::Json &Doc, uint64_t Releases) {
   EXPECT_EQ(spansNestedIn(Doc, "check.release", "check.run"), Releases);
 }
 
+uint64_t frontierKeys() { return histogramCount("frontier.key_micros"); }
+
+/// The frontier keys: every key built (and offered to the dedup set) is
+/// one observed frontier.key_micros and, when traced, one frontier.key
+/// span directly inside its check.run.
+void expectKeySpans(const serve::Json &Doc, uint64_t Keys) {
+  EXPECT_GT(Keys, 0u);
+  EXPECT_EQ(spanCount(Doc, "frontier.key"), Keys);
+  EXPECT_EQ(spansNestedIn(Doc, "frontier.key", "check.run"), Keys);
+}
+
 TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   obs::TraceSink Sink;
   // Every WP call is timed (check.wp_micros, traced or not) and, when
@@ -298,6 +309,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   uint64_t WpObservedBefore = histogramCount("check.wp_micros");
   size_t ExtendsAll = 0, ExtendsTraced = 0;
   uint64_t LoweringsTraced = 0, SimplifiesTraced = 0, ReleasesTraced = 0;
+  uint64_t KeysTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     CheckOptions Options;
     // The CertificateTest sweep budgets: Applicability rows only need to
@@ -308,9 +320,11 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
     CheckRequest Req = registryRequest(Study, Options);
 
     uint64_t BaselineFrom = simplifies(), BaselineReleasesFrom = releases();
+    uint64_t BaselineKeysFrom = frontierKeys();
     CertifiedRun Baseline = runCertified(Req);
     uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
     uint64_t BaselineReleases = releases() - BaselineReleasesFrom;
+    uint64_t BaselineKeys = frontierKeys() - BaselineKeysFrom;
     ExtendsAll += extendSteps(Baseline.Res);
 
     // Traced runs share one sink across studies so the final trace also
@@ -319,6 +333,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
       uint64_t SimplifiesFrom = simplifies(), ReleasesFrom = releases();
+      uint64_t KeysFrom = frontierKeys();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
       EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
@@ -326,6 +341,8 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
       SimplifiesTraced += simplifies() - SimplifiesFrom;
       EXPECT_EQ(releases() - ReleasesFrom, BaselineReleases) << Study.Name;
       ReleasesTraced += releases() - ReleasesFrom;
+      EXPECT_EQ(frontierKeys() - KeysFrom, BaselineKeys) << Study.Name;
+      KeysTraced += frontierKeys() - KeysFrom;
       expectDecisionIdentical(Study.Name, Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -350,6 +367,7 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
   expectSimplifySpans(Doc, SimplifiesTraced);
   expectReleaseSpans(Doc, ReleasesTraced);
+  expectKeySpans(Doc, KeysTraced);
   std::remove(Path.c_str());
 }
 
@@ -361,6 +379,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   obs::TraceSink Sink;
   size_t ExtendsTraced = 0;
   uint64_t LoweringsTraced = 0, SimplifiesTraced = 0, ReleasesTraced = 0;
+  uint64_t KeysTraced = 0;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
     // not corpus breadth (the study sweep above owns that). The budget
@@ -375,13 +394,16 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
     CheckRequest Req = registryRequest(Study, Options);
 
     uint64_t BaselineFrom = simplifies(), BaselineReleasesFrom = releases();
+    uint64_t BaselineKeysFrom = frontierKeys();
     CertifiedRun Baseline = runCertified(Req);
     uint64_t BaselineSimplifies = simplifies() - BaselineFrom;
     uint64_t BaselineReleases = releases() - BaselineReleasesFrom;
+    uint64_t BaselineKeys = frontierKeys() - BaselineKeysFrom;
     {
       SinkGuard Guard(&Sink);
       uint64_t Before = lowerings();
       uint64_t SimplifiesFrom = simplifies(), ReleasesFrom = releases();
+      uint64_t KeysFrom = frontierKeys();
       CertifiedRun Traced = runCertified(Req);
       LoweringsTraced += lowerings() - Before;
       EXPECT_EQ(simplifies() - SimplifiesFrom, BaselineSimplifies)
@@ -389,6 +411,8 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
       SimplifiesTraced += simplifies() - SimplifiesFrom;
       EXPECT_EQ(releases() - ReleasesFrom, BaselineReleases) << Study.Name;
       ReleasesTraced += releases() - ReleasesFrom;
+      EXPECT_EQ(frontierKeys() - KeysFrom, BaselineKeys) << Study.Name;
+      KeysTraced += frontierKeys() - KeysFrom;
       expectDecisionIdentical(Study.Name + " batched", Baseline, Traced);
       ExtendsTraced += extendSteps(Traced.Res);
     }
@@ -410,6 +434,7 @@ TEST(Observability, TracingIsPassiveAtBatchedKnobs) {
   expectBlastAndLowerSpans(Doc, LoweringsTraced);
   expectSimplifySpans(Doc, SimplifiesTraced);
   expectReleaseSpans(Doc, ReleasesTraced);
+  expectKeySpans(Doc, KeysTraced);
   std::remove(Path.c_str());
 }
 

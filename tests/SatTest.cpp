@@ -21,6 +21,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+namespace leapfrog {
+namespace smt {
+
+/// See the friend declaration in Sat.h.
+class SatSolverTestAccess {
+public:
+  /// Stores \p C as conflict analysis stores a learnt clause (watching
+  /// its first two literals, logged as a lemma), with LBD \p Lbd and
+  /// activity \p Act.
+  static void addLearnt(SatSolver &S, const std::vector<Lit> &C,
+                        uint32_t Lbd, float Act) {
+    S.logLemma(C);
+    SatSolver::ClauseRef CR =
+        S.storeClause(C.data(), C.size(), /*IsLearnt=*/true, Lbd);
+    ++S.LearntCount;
+    S.setActivity(CR, Act);
+  }
+  static void reduceDB(SatSolver &S) { S.reduceDB(); }
+};
+
+} // namespace smt
+} // namespace leapfrog
+
 using namespace leapfrog;
 using namespace leapfrog::smt;
 using leapfrog::testing::fuzzIters;
@@ -542,6 +567,114 @@ TEST(SatReduce, CountersAreMonotoneAcrossQueries) {
   }
   EXPECT_GT(Runs, 0u);
   EXPECT_GT(Deleted, 0u);
+}
+
+/// The clauses of every Delete event in \p Events, each sorted.
+std::vector<std::vector<Lit>> deletedClauses(
+    const std::vector<ProofEvent> &Events) {
+  std::vector<std::vector<Lit>> Out;
+  for (const ProofEvent &E : Events) {
+    if (E.K != ProofEvent::Kind::Delete)
+      continue;
+    std::vector<Lit> C = E.Lits;
+    std::sort(C.begin(), C.end(),
+              [](Lit A, Lit B) { return A.X < B.X; });
+    Out.push_back(C);
+  }
+  return Out;
+}
+
+/// Sorted copy of a clause, to compare with deletedClauses().
+std::vector<Lit> sorted(std::vector<Lit> C) {
+  std::sort(C.begin(), C.end(), [](Lit A, Lit B) { return A.X < B.X; });
+  return C;
+}
+
+/// A learnt clause that is the reason of a level-0 assignment while it is
+/// a reduceDB candidate (learnt, ternary, LBD above the glue bound) is
+/// kept, however cold, in every reduction; the cold half is taken from
+/// the others.
+TEST(SatReduce, LevelZeroReasonIsLockedAgainstDeletion) {
+  SatSolver S;
+  ProofStream Proof;
+  S.setProofSink(&Proof);
+  S.setReducePolicy(disabledPolicy());
+  Var A = S.newVar(), B = S.newVar(), C = S.newVar(), X = S.newVar();
+  Var P = S.newVar(), Q = S.newVar();
+  // (c ∨ ¬a ∨ x) and (c ∨ ¬b ∨ ¬x) resolve to the reason below; (p ∨ q)
+  // subsumes the three other learnt clauses.
+  S.addClause(pos(C), neg(A), pos(X));
+  S.addClause(pos(C), neg(B), neg(X));
+  S.addClause(pos(P), pos(Q));
+  std::vector<Lit> Reason{pos(C), neg(A), neg(B)};
+  std::vector<std::vector<Lit>> Others;
+  for (int I = 0; I < 3; ++I)
+    Others.push_back({pos(P), pos(Q), Lit::mk(S.newVar(), false)});
+  // The reason is the coldest candidate: lowest activity.
+  SatSolverTestAccess::addLearnt(S, Reason, 3, 0.5f);
+  for (size_t I = 0; I < Others.size(); ++I)
+    SatSolverTestAccess::addLearnt(S, Others[I], 3, float(I + 1));
+  // Level-0 units a and b make the learnt clause the reason for c.
+  S.addClause(pos(A));
+  S.addClause(pos(B));
+
+  // Three unlocked candidates: the coldest one goes.
+  SatSolverTestAccess::reduceDB(S);
+  EXPECT_EQ(deletedClauses(Proof.Events),
+            std::vector<std::vector<Lit>>{sorted(Others[0])});
+  // The lock is re-established on the compacted arena: of the two
+  // unlocked candidates left, the colder goes, and the reason stays.
+  SatSolverTestAccess::reduceDB(S);
+  EXPECT_EQ(deletedClauses(Proof.Events),
+            (std::vector<std::vector<Lit>>{sorted(Others[0]),
+                                           sorted(Others[1])}));
+  EXPECT_EQ(S.stats().ClausesDeleted, 2u);
+  EXPECT_EQ(S.numLearntClauses(), 2u);
+  ASSERT_TRUE(S.solve());
+  EXPECT_TRUE(S.modelValue(C));
+}
+
+/// reduceDB's order: highest LBD first, then lowest activity, then the
+/// older clause (lower arena offset); the first half of that order is
+/// deleted. Each case plants four ternary learnt clauses and names the
+/// two that must go.
+TEST(SatReduce, ColdOrderBreaksLbdAndActivityTiesByAge) {
+  struct Case {
+    const char *Name;
+    uint32_t Lbd[4];
+    float Act[4];
+    size_t Deleted[2];
+  };
+  const Case Cases[] = {
+      {"LBD and activity tie: the two oldest go", {3, 3, 3, 3},
+       {1.f, 1.f, 1.f, 1.f}, {0, 1}},
+      {"activity tie at the half boundary", {4, 4, 4, 4},
+       {1.f, 2.f, 1.f, 1.f}, {0, 2}},
+      {"LBD tie, activity decides", {3, 3, 3, 3}, {4.f, 1.f, 3.f, 2.f},
+       {1, 3}},
+      {"LBD decides before activity", {3, 5, 4, 3}, {0.1f, 9.f, 1.f, 5.f},
+       {1, 2}},
+  };
+  for (const Case &K : Cases) {
+    SatSolver S;
+    ProofStream Proof;
+    S.setProofSink(&Proof);
+    S.setReducePolicy(disabledPolicy());
+    Var P = S.newVar(), Q = S.newVar();
+    S.addClause(pos(P), pos(Q));
+    std::vector<std::vector<Lit>> Learnts;
+    for (int I = 0; I < 4; ++I) {
+      Learnts.push_back({pos(P), pos(Q), Lit::mk(S.newVar(), false)});
+      SatSolverTestAccess::addLearnt(S, Learnts.back(), K.Lbd[I], K.Act[I]);
+    }
+    SatSolverTestAccess::reduceDB(S);
+    // Delete events follow arena order.
+    std::vector<std::vector<Lit>> Expected{
+        sorted(Learnts[std::min(K.Deleted[0], K.Deleted[1])]),
+        sorted(Learnts[std::max(K.Deleted[0], K.Deleted[1])])};
+    EXPECT_EQ(deletedClauses(Proof.Events), Expected) << K.Name;
+    EXPECT_TRUE(S.solve()) << K.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
